@@ -27,7 +27,8 @@ evaluate_variant(const std::string& label, const Circuit& ansatz,
     // so give them the same extra budget uniformly.
     options.warmup += 50;
     options.iterations += 50;
-    const CafqaResult result = run_cafqa(ansatz, objective, options);
+    CafqaPipeline pipeline(search_pipeline_config(ansatz, objective, options));
+    const CafqaResult& result = pipeline.run_clifford_search();
     table.add_row({label, std::to_string(ansatz.num_params()),
                    Table::sci(std::max(result.best_energy - exact, 1e-10),
                               2),

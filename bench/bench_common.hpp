@@ -112,6 +112,19 @@ molecular_budget(const problems::MolecularSystem& system,
     return options;
 }
 
+/** Pipeline configuration for a Clifford search over an explicit ansatz
+ *  and objective (no prior-injected seeds beyond `search.seed_steps`). */
+inline PipelineConfig
+search_pipeline_config(const Circuit& ansatz, const VqaObjective& objective,
+                       const CafqaOptions& search)
+{
+    PipelineConfig config;
+    config.ansatz = ansatz;
+    config.objective = objective;
+    config.search = search;
+    return config;
+}
+
 /**
  * Pipeline configuration for a registry problem: objective, ansatz and
  * prior-injection seeds from the problem, scale-aware budget. Ready for

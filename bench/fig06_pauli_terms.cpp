@@ -31,8 +31,9 @@ print_panel(const std::string& molecule, double bond, std::uint64_t seed)
     // (With the HF prior injected, the search instead discovers that a
     // *different determinant* — the bond-broken configuration — is
     // near-exact for this active space; see the summary rows.)
-    const CafqaResult cafqa = run_cafqa(
-        system.ansatz, objective, cafqa_budget(system.num_qubits, seed));
+    CafqaPipeline pipeline(search_pipeline_config(
+        system.ansatz, objective, cafqa_budget(system.num_qubits, seed)));
+    const CafqaResult& cafqa = pipeline.run_clifford_search();
 
     CliffordEvaluator clifford(system.ansatz);
     clifford.prepare(cafqa.best_steps);

@@ -74,10 +74,10 @@ BM_CafqaSearchH2(benchmark::State& state)
     static const auto system = problems::make_molecular_system("H2", 2.0);
     static const VqaObjective objective = problems::make_objective(system);
     for (auto _ : state) {
-        const CafqaResult r = run_cafqa(
+        CafqaPipeline pipeline(search_pipeline_config(
             system.ansatz, objective,
-            {.warmup = 50, .iterations = 50, .seed = 1});
-        benchmark::DoNotOptimize(r.best_energy);
+            {.warmup = 50, .iterations = 50, .seed = 1}));
+        benchmark::DoNotOptimize(pipeline.run_clifford_search().best_energy);
     }
 }
 BENCHMARK(BM_CafqaSearchH2)->Unit(benchmark::kMillisecond)->Iterations(3);

@@ -95,10 +95,10 @@ BM_RelativeAccuracyPoint(benchmark::State& state)
     static const auto system = problems::make_molecular_system("H2", 2.5);
     static const VqaObjective objective = problems::make_objective(system);
     for (auto _ : state) {
-        const CafqaResult r = run_cafqa(
+        CafqaPipeline pipeline(search_pipeline_config(
             system.ansatz, objective,
-            {.warmup = 60, .iterations = 60, .seed = 3});
-        benchmark::DoNotOptimize(r.best_energy);
+            {.warmup = 60, .iterations = 60, .seed = 3}));
+        benchmark::DoNotOptimize(pipeline.run_clifford_search().best_energy);
     }
 }
 BENCHMARK(BM_RelativeAccuracyPoint)

@@ -45,27 +45,21 @@ print_fig14()
         VqaTuneResult result;
     };
     std::vector<Run> runs;
-    {
-        VqaTunerOptions ideal = tuner;
-        ideal.seed = 11;
-        runs.push_back({"CAFQA noise-free",
-                        tune_vqa(system.ansatz, objective, cafqa_init,
-                                 ideal)});
-        ideal.seed = 12;
-        runs.push_back({"HF noise-free",
-                        tune_vqa(system.ansatz, objective, hf_init,
-                                 ideal)});
-        VqaTunerOptions noisy_opts = tuner;
-        noisy_opts.noise = noisy;
-        noisy_opts.seed = 13;
-        runs.push_back({"CAFQA noisy",
-                        tune_vqa(system.ansatz, objective, cafqa_init,
-                                 noisy_opts)});
-        noisy_opts.seed = 14;
-        runs.push_back({"HF noisy",
-                        tune_vqa(system.ansatz, objective, hf_init,
-                                 noisy_opts)});
-    }
+    const auto tune = [&](const std::vector<double>& initial,
+                          const NoiseModel& noise, std::uint64_t seed) {
+        PipelineConfig config;
+        config.ansatz = system.ansatz;
+        config.objective = objective;
+        config.tuner = tuner;
+        config.tuner.noise = noise;
+        config.tuner.seed = seed;
+        CafqaPipeline pipeline(std::move(config));
+        return pipeline.run_vqa_tune(initial);
+    };
+    runs.push_back({"CAFQA noise-free", tune(cafqa_init, {}, 11)});
+    runs.push_back({"HF noise-free", tune(hf_init, {}, 12)});
+    runs.push_back({"CAFQA noisy", tune(cafqa_init, noisy, 13)});
+    runs.push_back({"HF noisy", tune(hf_init, noisy, 14)});
 
     Table trace("Energy vs tuning iteration (Hartree)");
     std::vector<std::string> header = {"Iteration"};

@@ -30,9 +30,10 @@ ProblemRun
 run_problem(const std::string& key, std::uint64_t seed)
 {
     const auto problem = problems::make_problem(key);
-    const CafqaResult result =
-        run_cafqa(problem.ansatz, problem.objective,
-                  cafqa_budget(problem.num_qubits, seed));
+    CafqaPipeline pipeline(search_pipeline_config(
+        problem.ansatz, problem.objective,
+        cafqa_budget(problem.num_qubits, seed)));
+    const CafqaResult& result = pipeline.run_clifford_search();
     return ProblemRun{problem.name, result.num_parameters,
                       result.evaluations_to_best, result.best_energy};
 }
@@ -73,9 +74,10 @@ print_fig15()
     {
         const auto qaoa = problems::make_problem(
             "maxcut:ring-10?ansatz=qaoa&layers=2");
-        const CafqaResult result = run_cafqa(
+        CafqaPipeline pipeline(search_pipeline_config(
             qaoa.ansatz, qaoa.objective,
-            {.warmup = 32, .iterations = 64, .seed = seed + 2});
+            {.warmup = 32, .iterations = 64, .seed = seed + 2}));
+        const CafqaResult& result = pipeline.run_clifford_search();
         runs.push_back(ProblemRun{"ring10-QAOA(p=2)",
                                   result.num_parameters,
                                   result.evaluations_to_best,

@@ -6,22 +6,8 @@
 #include "common/thread_pool.hpp"
 #include "core/clifford_ansatz.hpp"
 #include "core/evaluator.hpp"
-#include "core/pipeline.hpp"
 
 namespace cafqa {
-
-CafqaResult
-run_cafqa(const Circuit& ansatz, const VqaObjective& objective,
-          const CafqaOptions& options)
-{
-    require_clifford_ansatz(ansatz);
-    PipelineConfig config;
-    config.ansatz = ansatz;
-    config.objective = objective;
-    config.search = options;
-    CafqaPipeline pipeline(std::move(config));
-    return pipeline.run_clifford_search();
-}
 
 CafqaResult
 exhaustive_clifford_search(const Circuit& ansatz,
@@ -112,24 +98,6 @@ exhaustive_clifford_search(const Circuit& ansatz,
     CliffordEvaluator evaluator(ansatz);
     evaluator.prepare(result.best_steps);
     result.best_energy = objective.energy(evaluator);
-    return result;
-}
-
-CafqaKtResult
-run_cafqa_kt(const Circuit& ansatz, const VqaObjective& objective,
-             std::size_t max_t_gates, const CafqaOptions& options)
-{
-    require_clifford_ansatz(ansatz);
-    PipelineConfig config;
-    config.ansatz = ansatz;
-    config.objective = objective;
-    config.search = options;
-    CafqaPipeline pipeline(std::move(config));
-    pipeline.run_t_boost(max_t_gates);
-
-    CafqaKtResult result;
-    result.base = pipeline.clifford_result();
-    result.boost = pipeline.t_boost_result();
     return result;
 }
 

@@ -237,12 +237,4 @@ BayesOptimizer::minimize(const DiscreteObjective& objective,
     return recorder.finish(reason);
 }
 
-BayesOptResult
-bayes_opt_minimize(
-    const std::function<double(const std::vector<int>&)>& objective,
-    const DiscreteSpace& space, const BayesOptOptions& options)
-{
-    return BayesOptimizer(options).minimize(objective, space);
-}
-
 } // namespace cafqa

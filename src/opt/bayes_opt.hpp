@@ -10,7 +10,7 @@
  * period").
  *
  * `BayesOptimizer` is the `DiscreteOptimizer` implementation (registry
- * key "bayes"); `bayes_opt_minimize` remains as a thin shim.
+ * key "bayes").
  */
 #ifndef CAFQA_OPT_BAYES_OPT_HPP
 #define CAFQA_OPT_BAYES_OPT_HPP
@@ -69,11 +69,6 @@ struct BayesOptOptions
         warmup_batch;
 };
 
-/** Deprecated alias kept for one release; use `OptimizeOutcome`.
- *  (`best_config`, `best_value`, `history`, `best_trace` and
- *  `evaluations_to_best` carry over unchanged.) */
-using BayesOptResult = OptimizeOutcome;
-
 /** Random-forest Bayesian optimization (registry key "bayes"). */
 class BayesOptimizer final : public DiscreteOptimizer
 {
@@ -90,12 +85,6 @@ class BayesOptimizer final : public DiscreteOptimizer
   private:
     BayesOptOptions options_;
 };
-
-/** Minimize `objective` over the discrete space. Deprecated shim over
- *  `BayesOptimizer`. */
-BayesOptResult bayes_opt_minimize(
-    const std::function<double(const std::vector<int>&)>& objective,
-    const DiscreteSpace& space, const BayesOptOptions& options = {});
 
 } // namespace cafqa
 

@@ -75,9 +75,14 @@ TEST(CachingBackend, RegistryComposesByPrefixAndConfigBlock)
     EXPECT_EQ(by_block->kind(), "cached:statevector");
     EXPECT_FALSE(by_block->discrete());
 
-    EXPECT_TRUE(backend_registered("cached:density"));
-    EXPECT_FALSE(backend_registered("cached:no-such-backend"));
-    EXPECT_FALSE(backend_registered("cached:"));
+    BackendConfig prefixed;
+    prefixed.ansatz = tiny_ansatz();
+    prefixed.kind = "cached:density";
+    EXPECT_EQ(make_backend(prefixed)->kind(), "cached:density");
+    prefixed.kind = "cached:no-such-backend";
+    EXPECT_THROW(make_backend(prefixed), std::invalid_argument);
+    prefixed.kind = "cached:";
+    EXPECT_THROW(make_backend(prefixed), std::invalid_argument);
 }
 
 TEST(CachingBackend, HitsSkipPreparationAndLruEvictsOldest)

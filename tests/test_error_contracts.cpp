@@ -9,10 +9,10 @@
 #include "chem/mo_integrals.hpp"
 #include "chem/molecule.hpp"
 #include "core/backend_registry.hpp"
-#include "core/cafqa_driver.hpp"
 #include "core/caching_backend.hpp"
 #include "core/evaluator.hpp"
 #include "core/hartree_fock_baseline.hpp"
+#include "core/pipeline.hpp"
 #include "core/sampled_evaluator.hpp"
 #include "density/density_matrix.hpp"
 #include "mapping/encoding.hpp"
@@ -180,29 +180,24 @@ TEST(ErrorContracts, Z2ReductionGuards)
 
 TEST(ErrorContracts, OptimizerGuards)
 {
-    EXPECT_THROW(
-        nelder_mead([](const std::vector<double>&) { return 0.0; }, {}),
-        std::invalid_argument);
-    EXPECT_THROW(
-        spsa_minimize([](const std::vector<double>&) { return 0.0; }, {}),
-        std::invalid_argument);
+    const auto flat = [](const std::vector<double>&) { return 0.0; };
+    EXPECT_THROW(NelderMeadOptimizer().minimize(flat, {}),
+                 std::invalid_argument);
+    EXPECT_THROW(SpsaOptimizer().minimize(flat, {}), std::invalid_argument);
 
     DecisionTree tree;
     EXPECT_THROW((void)tree.predict({1.0}), std::invalid_argument);
     RandomForest forest;
     EXPECT_THROW((void)forest.predict({1.0}), std::invalid_argument);
 
+    const auto flat_discrete = [](const std::vector<int>&) { return 0.0; };
     DiscreteSpace empty;
-    EXPECT_THROW(
-        bayes_opt_minimize([](const std::vector<int>&) { return 0.0; },
-                           empty, {}),
-        std::invalid_argument);
+    EXPECT_THROW(BayesOptimizer().minimize(flat_discrete, empty),
+                 std::invalid_argument);
     DiscreteSpace zero_card;
     zero_card.cardinalities = {4, 0};
-    EXPECT_THROW(
-        bayes_opt_minimize([](const std::vector<int>&) { return 0.0; },
-                           zero_card, {}),
-        std::invalid_argument);
+    EXPECT_THROW(BayesOptimizer().minimize(flat_discrete, zero_card),
+                 std::invalid_argument);
 }
 
 TEST(ErrorContracts, OptimizerRegistryGuards)
@@ -443,7 +438,10 @@ TEST(ErrorContracts, DriverGuards)
     ansatz.ry_param(0);
     VqaObjective objective;
     objective.hamiltonian = PauliSum::from_terms(3, {{1.0, "ZZZ"}});
-    EXPECT_THROW(run_cafqa(ansatz, objective), std::invalid_argument);
+    PipelineConfig mismatched;
+    mismatched.ansatz = ansatz;
+    mismatched.objective = objective;
+    EXPECT_THROW(CafqaPipeline{mismatched}, std::invalid_argument);
 
     Circuit big(2);
     for (int i = 0; i < 13; ++i) {

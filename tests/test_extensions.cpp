@@ -6,7 +6,7 @@
 #include <numbers>
 
 #include "common/rng.hpp"
-#include "core/cafqa_driver.hpp"
+#include "core/pipeline.hpp"
 #include "core/sampled_evaluator.hpp"
 #include "pauli/grouping.hpp"
 #include "problems/maxcut.hpp"
@@ -100,9 +100,13 @@ TEST(Qaoa, CafqaSearchOverQaoaSpace)
 
     const CafqaResult exhaustive =
         exhaustive_clifford_search(qaoa, objective);
-    const CafqaResult searched = run_cafqa(
-        qaoa, objective, {.warmup = 60, .iterations = 80, .seed = 3});
-    EXPECT_NEAR(searched.best_objective, exhaustive.best_objective, 1e-9);
+    PipelineConfig config;
+    config.ansatz = qaoa;
+    config.objective = objective;
+    config.search = {.warmup = 60, .iterations = 80, .seed = 3};
+    CafqaPipeline pipeline(std::move(config));
+    EXPECT_NEAR(pipeline.run_clifford_search().best_objective,
+                exhaustive.best_objective, 1e-9);
     // |+> state gives <ZZ> = 0 per edge -> energy -E/2 = -3; the best
     // Clifford point can only improve on that.
     EXPECT_LE(exhaustive.best_objective, -3.0 + 1e-9);

@@ -1,7 +1,7 @@
-// Tests for the CafqaPipeline facade: parity with the legacy free
-// functions and with a hand-rolled serial search, determinism across
-// thread counts, observer events, staged execution, and the
-// exhaustive-search fan-out.
+// Tests for the CafqaPipeline facade: parity with a hand-rolled serial
+// search, determinism across thread counts, observer events, staged
+// execution, and the exhaustive-search fan-out. The default trajectories
+// themselves are pinned by tests/test_goldens.cpp.
 
 #include <gtest/gtest.h>
 
@@ -40,12 +40,12 @@ TEST(CafqaPipeline, BatchedWarmupMatchesSerialBayesOpt)
     bayes.warmup = options.warmup;
     bayes.iterations = options.iterations;
     bayes.seed = options.seed;
-    const BayesOptResult reference = bayes_opt_minimize(
+    const OptimizeOutcome reference = BayesOptimizer(bayes).minimize(
         [&](const std::vector<int>& steps) {
             evaluator.prepare(steps);
             return objective.evaluate(evaluator);
         },
-        clifford_search_space(system.ansatz), bayes);
+        clifford_search_space(system.ansatz));
 
     // Pipeline with a 3-worker pool.
     PipelineConfig config;
@@ -83,28 +83,6 @@ TEST(CafqaPipeline, DeterministicAcrossThreadCounts)
     }
     EXPECT_EQ(results[0].best_steps, results[1].best_steps);
     EXPECT_EQ(results[0].history, results[1].history);
-}
-
-TEST(CafqaPipeline, MatchesLegacyFreeFunctionOnH2)
-{
-    const auto system = problems::make_molecular_system("H2", 2.2);
-    const VqaObjective objective = problems::make_objective(system);
-    const CafqaOptions options = small_budget(23);
-
-    const CafqaResult legacy =
-        run_cafqa(system.ansatz, objective, options);
-
-    PipelineConfig config;
-    config.ansatz = system.ansatz;
-    config.objective = objective;
-    config.search = options;
-    CafqaPipeline pipeline(std::move(config));
-    const CafqaResult& modern = pipeline.run_clifford_search();
-
-    EXPECT_EQ(modern.best_steps, legacy.best_steps);
-    EXPECT_DOUBLE_EQ(modern.best_energy, legacy.best_energy);
-    EXPECT_DOUBLE_EQ(modern.best_objective, legacy.best_objective);
-    EXPECT_EQ(modern.history, legacy.history);
 }
 
 TEST(CafqaPipeline, ObserverSeesStagesAndProgress)
@@ -387,18 +365,6 @@ TEST(ExhaustiveSearch, ParallelScanMatchesSerialReference)
     EXPECT_EQ(result.best_steps, best_steps);
     EXPECT_DOUBLE_EQ(result.best_objective, best_value);
     EXPECT_EQ(result.evaluations_to_best, best_code + 1);
-}
-
-TEST(LegacyShims, RunCafqaKtSplitsBaseAndBoost)
-{
-    const auto system = problems::make_molecular_system("H2", 1.8);
-    const VqaObjective objective = problems::make_objective(system);
-
-    const CafqaKtResult kt =
-        run_cafqa_kt(system.ansatz, objective, 1, small_budget(31));
-    EXPECT_LE(kt.boost.best_objective, kt.base.best_objective + 1e-9);
-    EXPECT_EQ(kt.boost.circuit.count(GateKind::T),
-              kt.boost.t_positions.size());
 }
 
 } // namespace
