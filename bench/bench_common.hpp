@@ -135,10 +135,9 @@ inline PipelineConfig
 problem_pipeline_config(const problems::Problem& problem,
                         std::uint64_t seed)
 {
-    PipelineConfig config;
-    config.ansatz = problem.ansatz;
-    config.objective = problem.objective;
-    config.search = cafqa_budget(problem.num_qubits, seed);
+    PipelineConfig config =
+        search_pipeline_config(problem.ansatz, problem.objective,
+                               cafqa_budget(problem.num_qubits, seed));
     config.search.seed_steps = problem.seed_steps;
     return config;
 }
@@ -160,11 +159,9 @@ inline PipelineConfig
 molecular_pipeline_config(const problems::MolecularSystem& system,
                           std::uint64_t seed)
 {
-    PipelineConfig config;
-    config.ansatz = system.ansatz;
-    config.objective = problems::make_objective(system);
-    config.search = molecular_budget(system, seed);
-    return config;
+    return search_pipeline_config(system.ansatz,
+                                  problems::make_objective(system),
+                                  molecular_budget(system, seed));
 }
 
 /** Run just the Clifford-search stage for a molecular system. */

@@ -1,13 +1,10 @@
 #include "core/backend_registry.hpp"
 
-#include <map>
-
-#include "common/thread_safety.hpp"
-
 #include <bit>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/registry.hpp"
 #include "core/evaluator.hpp"
 #include "core/sampled_evaluator.hpp"
 
@@ -15,53 +12,48 @@ namespace cafqa {
 
 namespace {
 
-struct Registry
+std::unique_ptr<Backend>
+make_clifford(const BackendConfig& config)
 {
-    Mutex backend_registry_mutex{"backend_registry_mutex"};
-    std::map<std::string, BackendFactory> factories
-        CAFQA_GUARDED_BY(backend_registry_mutex);
-};
+    return std::make_unique<CliffordEvaluator>(config.ansatz);
+}
 
 /** The process-wide registry, with the built-in kinds pre-registered.
  *  Function-local static so registration order is independent of
  *  translation-unit initialization order. */
-Registry&
+Registry<BackendFactory>&
 registry()
 {
-    static Registry instance;
-    static const bool built_ins_registered = [] {
-        MutexLock lock(instance.backend_registry_mutex);
-        auto& factories = instance.factories;
-        factories["clifford"] = [](const BackendConfig& config) {
-            return std::make_unique<CliffordEvaluator>(config.ansatz);
-        };
-        // Alias: the paper calls the search-stage evaluator "the
-        // stabilizer simulator"; kind() still reports the concrete
-        // "clifford" type (same convention as custom registrations).
-        factories["stabilizer"] = factories["clifford"];
-        factories["clifford_t"] = [](const BackendConfig& config) {
-            return std::make_unique<CliffordTEvaluator>(config.ansatz);
-        };
-        factories["statevector"] = [](const BackendConfig& config) {
-            return std::make_unique<IdealEvaluator>(config.ansatz);
-        };
-        factories["density"] = [](const BackendConfig& config) {
-            return std::make_unique<NoisyEvaluator>(config.ansatz,
-                                                    config.noise);
-        };
-        factories["sampled"] = [](const BackendConfig& config) {
-            return std::make_unique<SampledEvaluator>(
-                config.ansatz, config.shots, config.seed);
-        };
-        return true;
-    }();
-    (void)built_ins_registered;
+    static Registry<BackendFactory> instance(
+        "backend kind",
+        {{"clifford", make_clifford},
+         // Alias: the paper calls the search-stage evaluator "the
+         // stabilizer simulator"; kind() still reports the concrete
+         // "clifford" type (same convention as custom registrations).
+         {"stabilizer", make_clifford},
+         {"clifford_t",
+          [](const BackendConfig& config) {
+              return std::make_unique<CliffordTEvaluator>(config.ansatz);
+          }},
+         {"statevector",
+          [](const BackendConfig& config) {
+              return std::make_unique<IdealEvaluator>(config.ansatz);
+          }},
+         {"density",
+          [](const BackendConfig& config) {
+              return std::make_unique<NoisyEvaluator>(config.ansatz,
+                                                      config.noise);
+          }},
+         {"sampled", [](const BackendConfig& config) {
+              return std::make_unique<SampledEvaluator>(
+                  config.ansatz, config.shots, config.seed);
+          }}});
     return instance;
 }
 
 /** The composition prefix: "cached:<kind>" wraps <kind> in the
- *  memoizing decorator. An explicitly registered "cached:..." key
- *  takes precedence over the prefix expansion. */
+ *  memoizing decorator. Reserved: no registered kind may start with
+ *  it. */
 constexpr std::string_view kCachedPrefix = "cached:";
 
 bool
@@ -102,74 +94,34 @@ void
 register_backend(const std::string& kind, BackendFactory factory)
 {
     CAFQA_REQUIRE(!kind.empty(), "backend kind must be non-empty");
+    CAFQA_REQUIRE(kind.rfind(kCachedPrefix, 0) != 0,
+                  "backend kind \"" + kind +
+                      "\" starts with the reserved composition prefix "
+                      "\"cached:\"");
     CAFQA_REQUIRE(factory != nullptr, "backend factory must be callable");
-    Registry& r = registry();
-    MutexLock lock(r.backend_registry_mutex);
-    r.factories[kind] = std::move(factory);
-}
-
-bool
-backend_registered(const std::string& kind)
-{
-    {
-        Registry& r = registry();
-        MutexLock lock(r.backend_registry_mutex);
-        if (r.factories.count(kind) != 0) {
-            return true;
-        }
-    }
-    return has_cached_prefix(kind) &&
-           backend_registered(kind.substr(kCachedPrefix.size()));
+    registry().add(kind, std::move(factory));
 }
 
 std::vector<std::string>
 registered_backends()
 {
-    Registry& r = registry();
-    MutexLock lock(r.backend_registry_mutex);
-    std::vector<std::string> kinds;
-    kinds.reserve(r.factories.size());
-    for (const auto& [kind, factory] : r.factories) {
-        kinds.push_back(kind);
-    }
-    return kinds;
+    return registry().names();
 }
 
 std::unique_ptr<Backend>
 make_backend(const BackendConfig& config)
 {
-    BackendFactory factory;
-    {
-        Registry& r = registry();
-        MutexLock lock(r.backend_registry_mutex);
-        const auto it = r.factories.find(config.kind);
-        if (it != r.factories.end()) {
-            factory = it->second;
-        }
+    if (has_cached_prefix(config.kind)) {
+        // "cached:<kind>": construct <kind> (recursively, so every
+        // registered key composes) and wrap it.
+        BackendConfig inner = config;
+        inner.kind = config.kind.substr(kCachedPrefix.size());
+        inner.cache.enabled = true;
+        return make_backend(inner);
     }
-    if (!factory) {
-        if (has_cached_prefix(config.kind)) {
-            // "cached:<kind>": construct <kind> (recursively, outside
-            // the registry lock, so every registered key composes) and
-            // wrap it.
-            BackendConfig inner = config;
-            inner.kind = config.kind.substr(kCachedPrefix.size());
-            inner.cache.enabled = true;
-            return make_backend(inner);
-        }
-        std::string all;
-        {
-            Registry& r = registry();
-            MutexLock lock(r.backend_registry_mutex);
-            for (const auto& [kind, unused] : r.factories) {
-                all += all.empty() ? kind : ", " + kind;
-            }
-        }
-        CAFQA_REQUIRE(false, "unknown backend kind \"" + config.kind +
-                                 "\" (registered: " + all +
-                                 "; any of them composes as "
-                                 "\"cached:<kind>\")");
-    }
+    const BackendFactory factory = registry().get(
+        config.kind, {},
+        "; any of them composes as \"cached:<kind>\"");
     std::unique_ptr<Backend> backend = factory(config);
     CAFQA_ASSERT(backend != nullptr, "backend factory returned null");
     if (config.shared_cache) {

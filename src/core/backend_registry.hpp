@@ -17,12 +17,14 @@
  * `"cached:clifford"`) — or setting `BackendConfig::cache.enabled` —
  * wraps the constructed backend in the memoizing decorator of
  * `core/caching_backend.hpp`, which short-circuits re-evaluations of
- * already-materialized points.
+ * already-materialized points. The prefix is reserved: no registered
+ * kind may start with it.
  *
  * Additional kinds (remote executors, sharded wrappers, ...) can be
  * registered at runtime with `register_backend`; `CafqaPipeline` and
  * the CLI resolve backends exclusively through this factory, so a new
- * kind is immediately usable everywhere.
+ * kind is immediately usable everywhere. The map itself is a
+ * `Registry` (`common/registry.hpp`).
  */
 #ifndef CAFQA_CORE_BACKEND_REGISTRY_HPP
 #define CAFQA_CORE_BACKEND_REGISTRY_HPP
@@ -79,11 +81,10 @@ std::uint64_t backend_config_hash(const BackendConfig& config);
 using BackendFactory =
     std::function<std::unique_ptr<Backend>(const BackendConfig&)>;
 
-/** Register (or replace) a factory under `kind`. */
+/** Register (or replace) a factory under `kind`. Throws
+ *  std::invalid_argument if `kind` is empty or starts with the reserved
+ *  composition prefix "cached:". */
 void register_backend(const std::string& kind, BackendFactory factory);
-
-/** True if `kind` is registered. */
-bool backend_registered(const std::string& kind);
 
 /** Sorted list of registered kinds. */
 std::vector<std::string> registered_backends();

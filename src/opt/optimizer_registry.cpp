@@ -1,78 +1,66 @@
 #include "opt/optimizer_registry.hpp"
 
-#include <map>
-
-#include "common/thread_safety.hpp"
 #include <string_view>
 
 #include "common/error.hpp"
+#include "common/registry.hpp"
 
 namespace cafqa {
 
 namespace {
 
-struct Registry
+/** `Options` from `config`, with the config's seed override applied. */
+template <typename Options>
+Options
+seeded(Options options, std::uint64_t seed)
 {
-    Mutex optimizer_registry_mutex{"optimizer_registry_mutex"};
-    std::map<std::string, OptimizerFactory> factories
-        CAFQA_GUARDED_BY(optimizer_registry_mutex);
-};
+    if (seed != 0) {
+        options.seed = seed;
+    }
+    return options;
+}
 
 /** The process-wide registry, with the built-in kinds pre-registered.
  *  Function-local static so registration order is independent of
  *  translation-unit initialization order. */
-Registry&
+Registry<OptimizerFactory>&
 registry()
 {
-    static Registry instance;
-    static const bool built_ins_registered = [] {
-        MutexLock lock(instance.optimizer_registry_mutex);
-        auto& factories = instance.factories;
-        factories["bayes"] = [](const OptimizerConfig& config) {
-            BayesOptOptions options = config.bayes;
-            if (config.seed != 0) {
-                options.seed = config.seed;
-            }
-            return std::make_unique<BayesOptimizer>(std::move(options));
-        };
-        factories["anneal"] = [](const OptimizerConfig& config) {
-            AnnealingOptions options = config.anneal;
-            if (config.seed != 0) {
-                options.seed = config.seed;
-            }
-            return std::make_unique<SimulatedAnnealingOptimizer>(options);
-        };
-        factories["random"] = [](const OptimizerConfig& config) {
-            RandomSearchOptions options = config.random;
-            if (config.seed != 0) {
-                options.seed = config.seed;
-            }
-            return std::make_unique<RandomSearchOptimizer>(options);
-        };
-        factories["tempering"] = [](const OptimizerConfig& config) {
-            TemperingOptions options = config.tempering;
-            if (config.seed != 0) {
-                options.seed = config.seed;
-            }
-            return std::make_unique<ParallelTempering>(options);
-        };
-        factories["exhaustive"] = [](const OptimizerConfig&) {
-            return std::make_unique<ExhaustiveOptimizer>();
-        };
-        factories["nelder-mead"] = [](const OptimizerConfig& config) {
-            return std::make_unique<NelderMeadOptimizer>(
-                config.nelder_mead);
-        };
-        factories["spsa"] = [](const OptimizerConfig& config) {
-            SpsaOptions options = config.spsa;
-            if (config.seed != 0) {
-                options.seed = config.seed;
-            }
-            return std::make_unique<SpsaOptimizer>(options);
-        };
-        return true;
-    }();
-    (void)built_ins_registered;
+    static Registry<OptimizerFactory> instance(
+        "optimizer kind",
+        {{"bayes",
+          [](const OptimizerConfig& config) {
+              return std::make_unique<BayesOptimizer>(
+                  seeded(config.bayes, config.seed));
+          }},
+         {"anneal",
+          [](const OptimizerConfig& config) {
+              return std::make_unique<SimulatedAnnealingOptimizer>(
+                  seeded(config.anneal, config.seed));
+          }},
+         {"random",
+          [](const OptimizerConfig& config) {
+              return std::make_unique<RandomSearchOptimizer>(
+                  seeded(config.random, config.seed));
+          }},
+         {"tempering",
+          [](const OptimizerConfig& config) {
+              return std::make_unique<ParallelTempering>(
+                  seeded(config.tempering, config.seed));
+          }},
+         {"exhaustive",
+          [](const OptimizerConfig&) {
+              return std::make_unique<ExhaustiveOptimizer>();
+          }},
+         {"nelder-mead",
+          [](const OptimizerConfig& config) {
+              return std::make_unique<NelderMeadOptimizer>(
+                  config.nelder_mead);
+          }},
+         {"spsa", [](const OptimizerConfig& config) {
+              return std::make_unique<SpsaOptimizer>(
+                  seeded(config.spsa, config.seed));
+          }}});
     return instance;
 }
 
@@ -169,31 +157,18 @@ void
 register_optimizer(const std::string& kind, OptimizerFactory factory)
 {
     CAFQA_REQUIRE(!kind.empty(), "optimizer kind must be non-empty");
+    CAFQA_REQUIRE(kind.rfind(kPortfolioPrefix, 0) != 0,
+                  "optimizer kind \"" + kind +
+                      "\" starts with the reserved composition prefix "
+                      "\"portfolio:\"");
     CAFQA_REQUIRE(factory != nullptr, "optimizer factory must be callable");
-    Registry& r = registry();
-    MutexLock lock(r.optimizer_registry_mutex);
-    r.factories[kind] = std::move(factory);
-}
-
-bool
-optimizer_registered(const std::string& kind)
-{
-    Registry& r = registry();
-    MutexLock lock(r.optimizer_registry_mutex);
-    return r.factories.count(kind) != 0;
+    registry().add(kind, std::move(factory));
 }
 
 std::vector<std::string>
 registered_optimizers()
 {
-    Registry& r = registry();
-    MutexLock lock(r.optimizer_registry_mutex);
-    std::vector<std::string> kinds;
-    kinds.reserve(r.factories.size());
-    for (const auto& [kind, factory] : r.factories) {
-        kinds.push_back(kind);
-    }
-    return kinds;
+    return registry().names();
 }
 
 std::vector<std::string>
@@ -214,24 +189,10 @@ make_optimizer(const OptimizerConfig& config)
     if (config.kind.rfind(kPortfolioPrefix, 0) == 0) {
         return make_portfolio_optimizer(config);
     }
-    OptimizerFactory factory;
-    {
-        Registry& r = registry();
-        MutexLock lock(r.optimizer_registry_mutex);
-        const auto it = r.factories.find(config.kind);
-        if (it == r.factories.end()) {
-            std::string all;
-            for (const auto& [kind, unused] : r.factories) {
-                all += all.empty() ? kind : ", " + kind;
-            }
-            CAFQA_REQUIRE(false,
-                          "unknown optimizer kind \"" + config.kind +
-                              "\" (registered: " + all +
-                              "; discrete kinds also compose as "
-                              "\"portfolio:<kind1+kind2+...>\")");
-        }
-        factory = it->second;
-    }
+    const OptimizerFactory factory = registry().get(
+        config.kind, {},
+        "; discrete kinds also compose as "
+        "\"portfolio:<kind1+kind2+...>\"");
     std::unique_ptr<Optimizer> optimizer = factory(config);
     CAFQA_ASSERT(optimizer != nullptr, "optimizer factory returned null");
     return optimizer;

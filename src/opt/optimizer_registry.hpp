@@ -21,12 +21,14 @@
  * kinds into a `PortfolioSearch` race — arm i gets seed `seed + i`, so
  * a one-arm portfolio is bit-identical to the bare optimizer. The
  * stopping budget is per arm (each arm runs its solo trajectory), so
- * a k-arm portfolio may spend up to k times `max_evaluations`.
+ * a k-arm portfolio may spend up to k times `max_evaluations`. The
+ * prefix is reserved: no registered kind may start with it.
  *
  * Additional kinds (CMA-ES, custom schedulers, ...) can be registered
  * at runtime with `register_optimizer`; `CafqaPipeline`, the CLI and the
  * ablation bench resolve strategies exclusively through this factory, so
- * a new kind is immediately usable everywhere.
+ * a new kind is immediately usable everywhere. The map itself is a
+ * `Registry` (`common/registry.hpp`).
  */
 #ifndef CAFQA_OPT_OPTIMIZER_REGISTRY_HPP
 #define CAFQA_OPT_OPTIMIZER_REGISTRY_HPP
@@ -77,11 +79,10 @@ optimizer_config(std::string kind)
 using OptimizerFactory =
     std::function<std::unique_ptr<Optimizer>(const OptimizerConfig&)>;
 
-/** Register (or replace) a factory under `kind`. */
+/** Register (or replace) a factory under `kind`. Throws
+ *  std::invalid_argument if `kind` is empty or starts with the reserved
+ *  composition prefix "portfolio:". */
 void register_optimizer(const std::string& kind, OptimizerFactory factory);
-
-/** True if `kind` is registered. */
-bool optimizer_registered(const std::string& kind);
 
 /** Sorted list of registered kinds. */
 std::vector<std::string> registered_optimizers();

@@ -138,9 +138,6 @@ void register_problem_family(const std::string& family,
                              std::string description = {},
                              std::string sample_key = {});
 
-/** True if `family` is registered. */
-bool problem_family_registered(const std::string& family);
-
 /** Sorted list of registered families. */
 std::vector<std::string> registered_problem_families();
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "chem/basis.hpp"
 #include "chem/boys.hpp"
 #include "chem/mo_integrals.hpp"
@@ -215,6 +218,90 @@ TEST(ErrorContracts, OptimizerRegistryGuards)
     // discrete search stage fails fast inside the stage.
     OptimizerConfig bad = optimizer_config("spsa");
     EXPECT_THROW(make_discrete_optimizer(bad), std::invalid_argument);
+}
+
+/** The message text after the "precondition failed: ... — " prefix
+ *  (the prefix names the throwing source line). */
+template <typename F>
+std::string
+precondition_message(F&& call)
+{
+    try {
+        call();
+    } catch (const std::invalid_argument& error) {
+        const std::string what = error.what();
+        const std::string separator = " — ";
+        const auto at = what.find(separator);
+        return at == std::string::npos ? what
+                                       : what.substr(at + separator.size());
+    }
+    ADD_FAILURE() << "expected std::invalid_argument";
+    return {};
+}
+
+TEST(ErrorContracts, UnknownKeyMessagesAreStable)
+{
+    // The job server forwards these texts to clients in `rejected`
+    // events, so they are pinned byte for byte. (No test in this binary
+    // registers an extra key, so the listings are exact.)
+    BackendConfig backend;
+    backend.kind = "no-such-backend";
+    EXPECT_EQ(precondition_message([&] { make_backend(backend); }),
+              "unknown backend kind \"no-such-backend\" (registered: "
+              "clifford, clifford_t, density, sampled, stabilizer, "
+              "statevector; any of them composes as \"cached:<kind>\")");
+    backend.kind = "cached:";
+    EXPECT_EQ(precondition_message([&] { make_backend(backend); }),
+              "unknown backend kind \"cached:\" (registered: "
+              "clifford, clifford_t, density, sampled, stabilizer, "
+              "statevector; any of them composes as \"cached:<kind>\")");
+    EXPECT_EQ(
+        precondition_message(
+            [] { make_optimizer(optimizer_config("no-such-optimizer")); }),
+        "unknown optimizer kind \"no-such-optimizer\" (registered: anneal, "
+        "bayes, exhaustive, nelder-mead, random, spsa, tempering; discrete "
+        "kinds also compose as \"portfolio:<kind1+kind2+...>\")");
+    EXPECT_EQ(
+        precondition_message([] { problems::make_problem("nope:x"); }),
+        "unknown problem family \"nope\" in key \"nope:x\" (registered: "
+        "maxcut, molecule, tfim, xxz)");
+}
+
+TEST(ErrorContracts, ReservedCompositionPrefixesCannotBeRegistered)
+{
+    // "cached:<kind>" and "portfolio:<k1+k2+...>" are compositions the
+    // factories build themselves. A registered key under either prefix
+    // would be shadowed by the composition (optimizers) or shadow it
+    // (backends), so both registries reject one outright.
+    const BackendFactory backend_factory = [](const BackendConfig& config) {
+        return std::make_unique<IdealEvaluator>(config.ansatz);
+    };
+    for (const char* kind : {"cached:", "cached:clifford", "cached:mine"}) {
+        EXPECT_THROW(register_backend(kind, backend_factory),
+                     std::invalid_argument)
+            << kind;
+        EXPECT_EQ(std::ranges::count(registered_backends(), kind), 0)
+            << kind;
+    }
+    const OptimizerFactory optimizer_factory = [](const OptimizerConfig&) {
+        return std::make_unique<ExhaustiveOptimizer>();
+    };
+    for (const char* kind : {"portfolio:", "portfolio:x", "portfolio:anneal"}) {
+        EXPECT_THROW(register_optimizer(kind, optimizer_factory),
+                     std::invalid_argument)
+            << kind;
+        EXPECT_EQ(std::ranges::count(registered_optimizers(), kind), 0)
+            << kind;
+    }
+
+    // The compositions themselves still resolve.
+    BackendConfig cached;
+    cached.kind = "cached:clifford";
+    cached.ansatz = Circuit(1);
+    cached.ansatz.ry_param(0);
+    EXPECT_EQ(make_backend(cached)->kind(), "cached:clifford");
+    EXPECT_EQ(make_optimizer(optimizer_config("portfolio:anneal"))->name(),
+              "portfolio:anneal");
 }
 
 TEST(ErrorContracts, UnknownRegistryKeysListTheRegisteredOnes)
