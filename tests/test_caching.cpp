@@ -15,6 +15,7 @@
 #include "common/thread_pool.hpp"
 #include "core/batch_runner.hpp"
 #include "core/caching_backend.hpp"
+#include "core/clifford_ansatz.hpp"
 #include "core/evaluator.hpp"
 #include "core/pipeline.hpp"
 #include "problems/molecule_factory.hpp"
@@ -30,6 +31,42 @@ tiny_ansatz()
     ansatz.ry_param(1);
     ansatz.cx(0, 1);
     return ansatz;
+}
+
+/** The two parameter domains of the caching decorator, by the kind of
+ *  the wrapped backend. */
+const std::vector<std::string> kDomainKinds{"clifford", "statevector"};
+
+/** Prepare `backend` at a quarter-turn point: the steps verbatim in
+ *  the discrete domain, the matching radians in the continuous one. */
+void
+prepare_steps(Backend& backend, const std::vector<int>& steps)
+{
+    if (auto* discrete = dynamic_cast<DiscreteBackend*>(&backend)) {
+        discrete->prepare(steps);
+    } else {
+        dynamic_cast<ContinuousBackend&>(backend).prepare(
+            steps_to_angles(steps));
+    }
+}
+
+std::unique_ptr<Backend>
+backend_of(const std::string& kind, const Circuit& ansatz,
+           const CacheOptions& cache = {})
+{
+    BackendConfig config;
+    config.kind = kind;
+    config.ansatz = ansatz;
+    config.cache = cache;
+    return make_backend(config);
+}
+
+CacheStats
+stats_of(const Backend& backend)
+{
+    const std::optional<CacheStats> stats = cache_stats_of(backend);
+    EXPECT_TRUE(stats.has_value()) << backend.kind() << " is not cached";
+    return stats.value_or(CacheStats{});
 }
 
 CacheOptions
@@ -88,51 +125,54 @@ TEST(CachingBackend, RegistryComposesByPrefixAndConfigBlock)
 TEST(CachingBackend, HitsSkipPreparationAndLruEvictsOldest)
 {
     const PauliSum op = PauliSum::from_terms(2, {{1.0, "ZZ"}});
-    auto wrapper = CachingDiscreteBackend(
-        std::make_unique<CliffordEvaluator>(tiny_ansatz()),
-        cache_on(/*capacity=*/2, /*shards=*/1));
-
     const std::vector<int> a{0, 0};
     const std::vector<int> b{1, 0};
     const std::vector<int> c{2, 0};
 
-    wrapper.prepare(a);
-    const double value_a = wrapper.expectation(op); // miss, prepares
-    EXPECT_DOUBLE_EQ(wrapper.expectation(op), value_a); // hit
-    wrapper.prepare(a);
-    EXPECT_DOUBLE_EQ(wrapper.expectation(op), value_a); // hit, no prep
+    for (const std::string& kind : kDomainKinds) {
+        SCOPED_TRACE(kind);
+        const auto wrapper = backend_of(
+            kind, tiny_ansatz(), cache_on(/*capacity=*/2, /*shards=*/1));
 
-    CacheStats stats = wrapper.cache_stats();
-    EXPECT_EQ(stats.hits, 2u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.preparations, 1u);
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(stats.evictions, 0u);
-    EXPECT_GT(stats.bytes, 0u);
-    EXPECT_NEAR(stats.hit_rate(), 2.0 / 3.0, 1e-12);
+        prepare_steps(*wrapper, a);
+        const double value_a = wrapper->expectation(op); // miss, prepares
+        EXPECT_DOUBLE_EQ(wrapper->expectation(op), value_a); // hit
+        prepare_steps(*wrapper, a);
+        EXPECT_DOUBLE_EQ(wrapper->expectation(op), value_a); // hit, no prep
 
-    wrapper.prepare(b);
-    wrapper.expectation(op); // miss: {b, a} resident
-    wrapper.prepare(a);
-    wrapper.expectation(op); // hit refreshes a: {a, b}
-    wrapper.prepare(c);
-    wrapper.expectation(op); // miss at capacity: evicts b -> {c, a}
+        CacheStats stats = stats_of(*wrapper);
+        EXPECT_EQ(stats.hits, 2u);
+        EXPECT_EQ(stats.misses, 1u);
+        EXPECT_EQ(stats.preparations, 1u);
+        EXPECT_EQ(stats.entries, 1u);
+        EXPECT_EQ(stats.evictions, 0u);
+        EXPECT_GT(stats.bytes, 0u);
+        EXPECT_NEAR(stats.hit_rate(), 2.0 / 3.0, 1e-12);
 
-    stats = wrapper.cache_stats();
-    EXPECT_EQ(stats.evictions, 1u);
-    EXPECT_EQ(stats.entries, 2u);
+        prepare_steps(*wrapper, b);
+        wrapper->expectation(op); // miss: {b, a} resident
+        prepare_steps(*wrapper, a);
+        wrapper->expectation(op); // hit refreshes a: {a, b}
+        prepare_steps(*wrapper, c);
+        wrapper->expectation(op); // miss at capacity: evicts b -> {c, a}
 
-    wrapper.prepare(a);
-    wrapper.expectation(op); // still resident (was refreshed)
-    EXPECT_EQ(wrapper.cache_stats().hits, stats.hits + 1);
+        stats = stats_of(*wrapper);
+        EXPECT_EQ(stats.evictions, 1u);
+        EXPECT_EQ(stats.entries, 2u);
 
-    wrapper.prepare(b);
-    wrapper.expectation(op); // evicted above: a fresh miss + preparation
-    const CacheStats final_stats = wrapper.cache_stats();
-    EXPECT_EQ(final_stats.misses, stats.misses + 1);
-    EXPECT_EQ(final_stats.evictions, 2u);
-    // Re-evaluations of evicted points recompute the same values.
-    EXPECT_DOUBLE_EQ(wrapper.expectation(op), wrapper.expectation(op));
+        prepare_steps(*wrapper, a);
+        wrapper->expectation(op); // still resident (was refreshed)
+        EXPECT_EQ(stats_of(*wrapper).hits, stats.hits + 1);
+
+        prepare_steps(*wrapper, b);
+        wrapper->expectation(op); // evicted above: a fresh miss + prep
+        const CacheStats final_stats = stats_of(*wrapper);
+        EXPECT_EQ(final_stats.misses, stats.misses + 1);
+        EXPECT_EQ(final_stats.evictions, 2u);
+        EXPECT_EQ(final_stats.preparations, final_stats.misses);
+        // Re-evaluations of evicted points recompute the same values.
+        EXPECT_DOUBLE_EQ(wrapper->expectation(op), wrapper->expectation(op));
+    }
 }
 
 TEST(CachingBackend, CachedPipelineMatchesUncachedExactlyOnH2)
@@ -270,10 +310,6 @@ TEST(CachingBackend, ConcurrentClonesShareOneCacheCorrectly)
     const VqaObjective objective = problems::make_objective(system);
     const std::vector<PauliSum> observables = objective.gather_observables();
 
-    const CachingDiscreteBackend prototype(
-        std::make_unique<CliffordEvaluator>(system.ansatz),
-        cache_on(/*capacity=*/16, /*shards=*/4));
-
     Rng rng(99);
     std::vector<std::vector<int>> distinct(40);
     for (auto& steps : distinct) {
@@ -292,33 +328,39 @@ TEST(CachingBackend, ConcurrentClonesShareOneCacheCorrectly)
         }
     }
 
-    ThreadPool pool(4);
-    std::vector<double> values(candidates.size());
-    std::vector<std::unique_ptr<DiscreteBackend>> clones(pool.size());
-    pool.parallel_for(candidates.size(),
-                      [&](std::size_t worker, std::size_t index) {
-                          auto& backend = clones[worker];
-                          if (!backend) {
-                              backend = prototype.clone_discrete();
-                          }
-                          backend->prepare(candidates[index]);
-                          values[index] = objective.combine(
-                              backend->expectations(observables));
-                      });
+    for (const std::string& kind : kDomainKinds) {
+        SCOPED_TRACE(kind);
+        const auto prototype = backend_of(
+            kind, system.ansatz, cache_on(/*capacity=*/16, /*shards=*/4));
 
-    CliffordEvaluator reference(system.ansatz);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        reference.prepare(candidates[i]);
-        EXPECT_DOUBLE_EQ(values[i], objective.evaluate(reference))
-            << "candidate " << i;
+        ThreadPool pool(4);
+        std::vector<double> values(candidates.size());
+        std::vector<std::unique_ptr<Backend>> clones(pool.size());
+        pool.parallel_for(candidates.size(),
+                          [&](std::size_t worker, std::size_t index) {
+                              auto& backend = clones[worker];
+                              if (!backend) {
+                                  backend = prototype->clone();
+                              }
+                              prepare_steps(*backend, candidates[index]);
+                              values[index] = objective.combine(
+                                  backend->expectations(observables));
+                          });
+
+        const auto reference = backend_of(kind, system.ansatz);
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+            prepare_steps(*reference, candidates[i]);
+            EXPECT_DOUBLE_EQ(values[i], objective.evaluate(*reference))
+                << "candidate " << i;
+        }
+
+        const CacheStats stats = stats_of(*prototype);
+        EXPECT_EQ(stats.hits + stats.misses,
+                  candidates.size() * observables.size());
+        EXPECT_GT(stats.hits, 0u);
+        EXPECT_GT(stats.evictions, 0u);
+        EXPECT_LE(stats.entries, 16u + 4u); // capacity, rounded per shard
     }
-
-    const CacheStats stats = prototype.cache_stats();
-    EXPECT_EQ(stats.hits + stats.misses,
-              candidates.size() * observables.size());
-    EXPECT_GT(stats.hits, 0u);
-    EXPECT_GT(stats.evictions, 0u);
-    EXPECT_LE(stats.entries, 16u + 4u); // capacity, rounded up per shard
 }
 
 TEST(CachingBackend, ContinuousQuantizationSharesEntriesWithinResolution)
@@ -492,39 +534,50 @@ TEST(SharedCache, CrossRunSharingIsBitIdenticalAndHits)
 {
     // Two identical runs over one process-wide cache: the second hits
     // the first's entries, and both records match the uncached solo
-    // run exactly — the serving cache is a pure memoizer.
-    const RunSpec spec =
-        RunSpec::parse("problem=maxcut:ring-6 warmup=6 iterations=6");
-    const RunRecord solo = execute_run_spec(spec);
+    // run exactly — the serving cache is a pure memoizer. The "tune"
+    // input also routes the statevector tuning stage through the
+    // shared cache.
+    for (const std::string stages : {"", " tune=20"}) {
+        SCOPED_TRACE("stages:" + stages);
+        const RunSpec spec = RunSpec::parse(
+            "problem=maxcut:ring-6 warmup=6 iterations=6" + stages);
+        const RunRecord solo = execute_run_spec(spec);
+        EXPECT_EQ(solo.tuned_value.has_value(), !stages.empty());
 
-    RunContext context;
-    context.shared_cache =
-        std::make_shared<EvaluationCache>(cache_on());
-    const RunRecord first = execute_run_spec(spec, context);
-    const CacheStats after_first = context.shared_cache->stats();
-    EXPECT_GT(after_first.misses, 0u);
+        RunContext context;
+        context.shared_cache =
+            std::make_shared<EvaluationCache>(cache_on());
+        const RunRecord first = execute_run_spec(spec, context);
+        const CacheStats after_first = context.shared_cache->stats();
+        EXPECT_GT(after_first.misses, 0u);
 
-    const RunRecord second = execute_run_spec(spec, context);
-    const CacheStats after_second = context.shared_cache->stats();
-    EXPECT_GT(after_second.hits, after_first.hits);
-    // Every point of the second run was already materialized.
-    EXPECT_EQ(after_second.entries, after_first.entries);
+        const RunRecord second = execute_run_spec(spec, context);
+        const CacheStats after_second = context.shared_cache->stats();
+        EXPECT_GT(after_second.hits, after_first.hits);
+        // Every point of the second run was already materialized.
+        EXPECT_EQ(after_second.entries, after_first.entries);
+        EXPECT_EQ(after_second.preparations, after_first.preparations);
 
-    for (const RunRecord* record : {&first, &second}) {
-        EXPECT_EQ(record->best_objective, solo.best_objective);
-        EXPECT_EQ(record->cafqa_energy, solo.cafqa_energy);
-        EXPECT_EQ(record->evaluations_to_best, solo.evaluations_to_best);
-        EXPECT_EQ(record->stop_reason, solo.stop_reason);
+        for (const RunRecord* record : {&first, &second}) {
+            EXPECT_EQ(record->best_objective, solo.best_objective);
+            EXPECT_EQ(record->cafqa_energy, solo.cafqa_energy);
+            EXPECT_EQ(record->tuned_value, solo.tuned_value);
+            EXPECT_EQ(record->evaluations_to_best,
+                      solo.evaluations_to_best);
+            EXPECT_EQ(record->stop_reason, solo.stop_reason);
+        }
+
+        // Distinct problems sharing the cache must not alias: a
+        // different instance over the same cache still matches ITS solo
+        // run.
+        const RunSpec other = RunSpec::parse(
+            "problem=maxcut:ring-8 warmup=6 iterations=6" + stages);
+        const RunRecord other_solo = execute_run_spec(other);
+        const RunRecord other_shared = execute_run_spec(other, context);
+        EXPECT_EQ(other_shared.best_objective, other_solo.best_objective);
+        EXPECT_EQ(other_shared.cafqa_energy, other_solo.cafqa_energy);
+        EXPECT_EQ(other_shared.tuned_value, other_solo.tuned_value);
     }
-
-    // Distinct problems sharing the cache must not alias: a different
-    // instance over the same cache still matches ITS solo run.
-    const RunSpec other =
-        RunSpec::parse("problem=maxcut:ring-8 warmup=6 iterations=6");
-    const RunRecord other_solo = execute_run_spec(other);
-    const RunRecord other_shared = execute_run_spec(other, context);
-    EXPECT_EQ(other_shared.best_objective, other_solo.best_objective);
-    EXPECT_EQ(other_shared.cafqa_energy, other_solo.cafqa_energy);
 }
 
 } // namespace
