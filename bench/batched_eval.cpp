@@ -113,7 +113,7 @@ warmup_block_seconds(const CliffordEvaluator& prototype,
         candidates.size(), [&](std::size_t worker, std::size_t index) {
             auto& backend = clones[worker];
             if (!backend) {
-                backend = prototype.clone_discrete();
+                backend = clone_as(prototype);
             }
             backend->prepare(candidates[index]);
             values[index] =

@@ -1,5 +1,7 @@
 #include "core/backend.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace cafqa {
@@ -15,53 +17,14 @@ Backend::expectations(std::span<const PauliSum> ops) const
     return values;
 }
 
-std::vector<double>
-DiscreteBackend::expectation_batch(
-    const std::vector<std::vector<int>>& candidates, const PauliSum& op)
+void
+throw_domain_mismatch(std::string_view kind, bool want_discrete)
 {
-    std::vector<double> values;
-    values.reserve(candidates.size());
-    for (const auto& steps : candidates) {
-        prepare(steps);
-        values.push_back(expectation(op));
-    }
-    return values;
-}
-
-std::unique_ptr<DiscreteBackend>
-DiscreteBackend::clone_discrete() const
-{
-    std::unique_ptr<Backend> copy = clone();
-    auto* discrete = dynamic_cast<DiscreteBackend*>(copy.get());
-    CAFQA_ASSERT(discrete != nullptr,
-                 "DiscreteBackend::clone returned a non-discrete backend");
-    copy.release();
-    return std::unique_ptr<DiscreteBackend>(discrete);
-}
-
-std::vector<double>
-ContinuousBackend::expectation_batch(
-    const std::vector<std::vector<double>>& candidates, const PauliSum& op)
-{
-    std::vector<double> values;
-    values.reserve(candidates.size());
-    for (const auto& params : candidates) {
-        prepare(params);
-        values.push_back(expectation(op));
-    }
-    return values;
-}
-
-std::unique_ptr<ContinuousBackend>
-ContinuousBackend::clone_continuous() const
-{
-    std::unique_ptr<Backend> copy = clone();
-    auto* continuous = dynamic_cast<ContinuousBackend*>(copy.get());
-    CAFQA_ASSERT(continuous != nullptr,
-                 "ContinuousBackend::clone returned a non-continuous "
-                 "backend");
-    copy.release();
-    return std::unique_ptr<ContinuousBackend>(continuous);
+    throw_require_failure(
+        want_discrete ? "discrete()" : "!discrete()", __FILE__, __LINE__,
+        "backend kind \"" + std::string(kind) +
+            (want_discrete ? "\" is not a discrete (quarter-turn) backend"
+                           : "\" is not a continuous-parameter backend"));
 }
 
 } // namespace cafqa

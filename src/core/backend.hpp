@@ -15,15 +15,12 @@
  *   domain. Implementations: `IdealEvaluator` ("statevector"),
  *   `NoisyEvaluator` ("density"), `SampledEvaluator` ("sampled").
  *
- * Both expose a *batched* surface:
- *
- * - `expectations(std::span<const PauliSum>)` measures many observables
- *   on one prepared state, amortizing state preparation across the
- *   Hamiltonian and constraint operators of an objective.
- * - `expectation_batch(candidates, op)` sweeps one observable across
- *   many parameter assignments (the warm-up / enumeration access
- *   pattern); combined with `clone()` it is the unit of thread-pool
- *   fan-out.
+ * Both share one evaluation contract: `prepare(point)`, then
+ * `expectations(std::span<const PauliSum>)` measures many observables
+ * on the prepared state, amortizing state preparation across the
+ * Hamiltonian and constraint operators of an objective. Thread-pool
+ * fan-out gives each worker a `clone_as` copy and runs that contract
+ * per candidate.
  *
  * Backends are constructed directly or through the string-keyed registry
  * in `core/backend_registry.hpp` (`make_backend(BackendConfig)`).
@@ -34,6 +31,7 @@
 #include <memory>
 #include <span>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "pauli/pauli_sum.hpp"
@@ -81,20 +79,12 @@ class DiscreteBackend : public Backend
   public:
     bool discrete() const final { return true; }
 
+    /** A point of the domain: one quarter-turn step per parameter. */
+    using Point = std::vector<int>;
+
     /** Prepare the ansatz state for a step assignment
      *  (steps[i] in {0, 1, 2, 3}, theta = steps[i] * pi/2). */
-    virtual void prepare(const std::vector<int>& steps) = 0;
-
-    /**
-     * Sweep `op` across many candidate step assignments, re-preparing
-     * per candidate. Leaves the backend prepared at the last candidate.
-     */
-    virtual std::vector<double>
-    expectation_batch(const std::vector<std::vector<int>>& candidates,
-                      const PauliSum& op);
-
-    /** clone() with the derived static type restored. */
-    std::unique_ptr<DiscreteBackend> clone_discrete() const;
+    virtual void prepare(const Point& steps) = 0;
 };
 
 /** Backend over continuous radian parameters (VQA tuning). */
@@ -103,17 +93,41 @@ class ContinuousBackend : public Backend
   public:
     bool discrete() const final { return false; }
 
+    /** A point of the domain: one radian angle per parameter. */
+    using Point = std::vector<double>;
+
     /** Prepare the ansatz state for a radian parameter vector. */
-    virtual void prepare(const std::vector<double>& params) = 0;
-
-    /** Sweep `op` across many parameter vectors (see DiscreteBackend). */
-    virtual std::vector<double>
-    expectation_batch(const std::vector<std::vector<double>>& candidates,
-                      const PauliSum& op);
-
-    /** clone() with the derived static type restored. */
-    std::unique_ptr<ContinuousBackend> clone_continuous() const;
+    virtual void prepare(const Point& params) = 0;
 };
+
+/** Throws std::invalid_argument: backend kind `kind` is not a
+ *  discrete (`want_discrete`) or continuous backend. */
+[[noreturn]] void throw_domain_mismatch(std::string_view kind,
+                                        bool want_discrete);
+
+/** Checked downcast of an owned backend to `B` (typically
+ *  `DiscreteBackend` or `ContinuousBackend`); throws
+ *  std::invalid_argument naming the backend's kind on a mismatch. */
+template <class B>
+std::unique_ptr<B>
+downcast_backend(std::unique_ptr<Backend> backend)
+{
+    B* typed = dynamic_cast<B*>(backend.get());
+    if (typed == nullptr) {
+        throw_domain_mismatch(backend->kind(),
+                              std::is_base_of_v<DiscreteBackend, B>);
+    }
+    backend.release();
+    return std::unique_ptr<B>(typed);
+}
+
+/** `backend.clone()` with the static type `B` restored. */
+template <class B>
+std::unique_ptr<B>
+clone_as(const B& backend)
+{
+    return downcast_backend<B>(backend.clone());
+}
 
 } // namespace cafqa
 

@@ -128,7 +128,9 @@ make_backend(const BackendConfig& config)
         backend = wrap_with_cache(std::move(backend), config.shared_cache,
                                   backend_config_hash(config));
     } else if (config.cache.enabled) {
-        backend = wrap_with_cache(std::move(backend), config.cache);
+        backend = wrap_with_cache(
+            std::move(backend),
+            std::make_shared<EvaluationCache>(config.cache));
     }
     return backend;
 }
@@ -136,25 +138,13 @@ make_backend(const BackendConfig& config)
 std::unique_ptr<DiscreteBackend>
 make_discrete_backend(const BackendConfig& config)
 {
-    std::unique_ptr<Backend> backend = make_backend(config);
-    auto* discrete = dynamic_cast<DiscreteBackend*>(backend.get());
-    CAFQA_REQUIRE(discrete != nullptr,
-                  "backend kind \"" + config.kind +
-                      "\" is not a discrete (quarter-turn) backend");
-    backend.release();
-    return std::unique_ptr<DiscreteBackend>(discrete);
+    return downcast_backend<DiscreteBackend>(make_backend(config));
 }
 
 std::unique_ptr<ContinuousBackend>
 make_continuous_backend(const BackendConfig& config)
 {
-    std::unique_ptr<Backend> backend = make_backend(config);
-    auto* continuous = dynamic_cast<ContinuousBackend*>(backend.get());
-    CAFQA_REQUIRE(continuous != nullptr,
-                  "backend kind \"" + config.kind +
-                      "\" is not a continuous-parameter backend");
-    backend.release();
-    return std::unique_ptr<ContinuousBackend>(continuous);
+    return downcast_backend<ContinuousBackend>(make_backend(config));
 }
 
 } // namespace cafqa

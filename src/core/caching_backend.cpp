@@ -23,39 +23,25 @@ bits_of(double value)
     return std::bit_cast<std::int64_t>(value);
 }
 
-/** Key prefix of a discrete point: the steps verbatim, preceded by the
- *  configuration salt when the cache is shared across configurations. */
-EvaluationCache::Key
-discrete_prefix(const std::vector<int>& steps, std::uint64_t salt)
+/** Key words of a discrete point: the steps verbatim. */
+void
+append_coordinates(EvaluationCache::Key& key, const std::vector<int>& steps,
+                   double /*resolution*/)
 {
-    EvaluationCache::Key key;
-    key.reserve(steps.size() + 2);
-    if (salt != 0) {
-        key.push_back(static_cast<std::int64_t>(salt));
-    }
     for (const int s : steps) {
         key.push_back(s);
     }
-    return key;
 }
 
-/** Key prefix of a continuous point: params quantized to `resolution`
- *  (`quantize_coordinate` is shared with the unique-budget accounting
- *  so the two identities agree), preceded by the configuration salt
- *  when shared. */
-EvaluationCache::Key
-continuous_prefix(const std::vector<double>& params, double resolution,
-                  std::uint64_t salt)
+/** Key words of a continuous point: each radian quantized to
+ *  `resolution`, so params within one step share an entry. */
+void
+append_coordinates(EvaluationCache::Key& key,
+                   const std::vector<double>& params, double resolution)
 {
-    EvaluationCache::Key key;
-    key.reserve(params.size() + 2);
-    if (salt != 0) {
-        key.push_back(static_cast<std::int64_t>(salt));
-    }
     for (const double p : params) {
         key.push_back(quantize_coordinate(p, resolution));
     }
-    return key;
 }
 
 } // namespace
@@ -119,6 +105,8 @@ EvaluationCache::EvaluationCache(const CacheOptions& options)
     CAFQA_REQUIRE(options.capacity >= 1,
                   "cache capacity must be at least 1 entry");
     CAFQA_REQUIRE(options.shards >= 1, "cache needs at least one shard");
+    CAFQA_REQUIRE(options.resolution > 0.0,
+                  "cache quantization resolution must be positive");
     // No more shards than capacity, so every shard can hold an entry.
     const std::size_t shards = std::min(options.shards, options.capacity);
     per_shard_capacity_ = (capacity_ + shards - 1) / shards;
@@ -213,18 +201,12 @@ EvaluationCache::stats() const
 }
 
 // ---------------------------------------------------------------------------
-// CachingDiscreteBackend
+// CachingBackend
 
-CachingDiscreteBackend::CachingDiscreteBackend(
-    std::unique_ptr<DiscreteBackend> inner, const CacheOptions& options)
-    : CachingDiscreteBackend(std::move(inner),
-                             std::make_shared<EvaluationCache>(options), 0)
-{
-}
-
-CachingDiscreteBackend::CachingDiscreteBackend(
-    std::unique_ptr<DiscreteBackend> inner,
-    std::shared_ptr<EvaluationCache> cache, std::uint64_t salt)
+template <class Base>
+CachingBackend<Base>::CachingBackend(std::unique_ptr<Base> inner,
+                                     std::shared_ptr<EvaluationCache> cache,
+                                     std::uint64_t salt)
     : inner_(std::move(inner)), cache_(std::move(cache)), salt_(salt)
 {
     CAFQA_REQUIRE(inner_ != nullptr, "cannot cache a null backend");
@@ -232,17 +214,26 @@ CachingDiscreteBackend::CachingDiscreteBackend(
     kind_ = "cached:" + std::string(inner_->kind());
 }
 
+template <class Base>
 void
-CachingDiscreteBackend::prepare(const std::vector<int>& steps)
+CachingBackend<Base>::prepare(const Point& point)
 {
-    point_ = steps;
-    key_prefix_ = discrete_prefix(steps, salt_);
+    point_ = point;
+    // The key prefix: the configuration salt (when the cache is shared
+    // across configurations), then the point's coordinates.
+    key_prefix_.clear();
+    key_prefix_.reserve(point.size() + 2);
+    if (salt_ != 0) {
+        key_prefix_.push_back(static_cast<std::int64_t>(salt_));
+    }
+    append_coordinates(key_prefix_, point, cache_->options().resolution);
     has_point_ = true;
     inner_prepared_ = false;
 }
 
+template <class Base>
 void
-CachingDiscreteBackend::ensure_prepared() const
+CachingBackend<Base>::ensure_prepared() const
 {
     if (!inner_prepared_) {
         inner_->prepare(point_);
@@ -251,8 +242,9 @@ CachingDiscreteBackend::ensure_prepared() const
     }
 }
 
+template <class Base>
 double
-CachingDiscreteBackend::expectation(const PauliSum& op) const
+CachingBackend<Base>::expectation(const PauliSum& op) const
 {
     if (!has_point_) {
         // Propagate the inner backend's "not prepared" contract.
@@ -269,8 +261,9 @@ CachingDiscreteBackend::expectation(const PauliSum& op) const
     return value;
 }
 
+template <class Base>
 std::vector<double>
-CachingDiscreteBackend::expectations(std::span<const PauliSum> ops) const
+CachingBackend<Base>::expectations(std::span<const PauliSum> ops) const
 {
     if (!has_point_) {
         return inner_->expectations(ops);
@@ -303,181 +296,38 @@ CachingDiscreteBackend::expectations(std::span<const PauliSum> ops) const
     return values;
 }
 
+template <class Base>
 std::unique_ptr<Backend>
-CachingDiscreteBackend::clone() const
+CachingBackend<Base>::clone() const
 {
-    auto copy = std::unique_ptr<CachingDiscreteBackend>(
-        new CachingDiscreteBackend(inner_->clone_discrete(), cache_,
-                                   salt_));
-    copy->point_ = point_;
-    copy->key_prefix_ = key_prefix_;
-    copy->has_point_ = has_point_;
     // The fresh inner clone starts unprepared regardless of *this.
-    copy->inner_prepared_ = false;
-    return copy;
-}
-
-// ---------------------------------------------------------------------------
-// CachingContinuousBackend
-
-CachingContinuousBackend::CachingContinuousBackend(
-    std::unique_ptr<ContinuousBackend> inner, const CacheOptions& options)
-    : CachingContinuousBackend(std::move(inner),
-                               std::make_shared<EvaluationCache>(options),
-                               options.resolution, 0)
-{
-}
-
-CachingContinuousBackend::CachingContinuousBackend(
-    std::unique_ptr<ContinuousBackend> inner,
-    std::shared_ptr<EvaluationCache> cache, std::uint64_t salt)
-    : CachingContinuousBackend(
-          std::move(inner), cache,
-          cache ? cache->options().resolution : 0.0, salt)
-{
-}
-
-CachingContinuousBackend::CachingContinuousBackend(
-    std::unique_ptr<ContinuousBackend> inner,
-    std::shared_ptr<EvaluationCache> cache, double resolution,
-    std::uint64_t salt)
-    : inner_(std::move(inner)),
-      cache_(std::move(cache)),
-      salt_(salt),
-      resolution_(resolution)
-{
-    CAFQA_REQUIRE(inner_ != nullptr, "cannot cache a null backend");
-    CAFQA_REQUIRE(cache_ != nullptr, "cannot share a null cache");
-    CAFQA_REQUIRE(resolution_ > 0.0,
-                  "cache quantization resolution must be positive");
-    kind_ = "cached:" + std::string(inner_->kind());
-}
-
-void
-CachingContinuousBackend::prepare(const std::vector<double>& params)
-{
-    point_ = params;
-    key_prefix_ = continuous_prefix(params, resolution_, salt_);
-    has_point_ = true;
-    inner_prepared_ = false;
-}
-
-void
-CachingContinuousBackend::ensure_prepared() const
-{
-    if (!inner_prepared_) {
-        inner_->prepare(point_);
-        cache_->count_preparation();
-        inner_prepared_ = true;
-    }
-}
-
-double
-CachingContinuousBackend::expectation(const PauliSum& op) const
-{
-    if (!has_point_) {
-        return inner_->expectation(op);
-    }
-    EvaluationCache::Key key = key_prefix_;
-    key.push_back(static_cast<std::int64_t>(observable_hash(op)));
-    if (const std::optional<double> hit = cache_->lookup(key)) {
-        return *hit;
-    }
-    ensure_prepared();
-    const double value = inner_->expectation(op);
-    cache_->insert(key, value);
-    return value;
-}
-
-std::vector<double>
-CachingContinuousBackend::expectations(std::span<const PauliSum> ops) const
-{
-    if (!has_point_) {
-        return inner_->expectations(ops);
-    }
-    // Scratch-key probing as in the discrete wrapper: the full-hit path
-    // allocates nothing per op.
-    std::vector<double> values(ops.size());
-    std::vector<std::size_t> missing;
-    std::vector<EvaluationCache::Key> miss_keys;
-    EvaluationCache::Key key = key_prefix_;
-    key.push_back(0);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        key.back() = static_cast<std::int64_t>(observable_hash(ops[i]));
-        if (const std::optional<double> hit = cache_->lookup(key)) {
-            values[i] = *hit;
-        } else {
-            missing.push_back(i);
-            miss_keys.push_back(key);
-        }
-    }
-    if (!missing.empty()) {
-        ensure_prepared();
-        for (std::size_t m = 0; m < missing.size(); ++m) {
-            values[missing[m]] = inner_->expectation(ops[missing[m]]);
-            cache_->insert(miss_keys[m], values[missing[m]]);
-        }
-    }
-    return values;
-}
-
-std::unique_ptr<Backend>
-CachingContinuousBackend::clone() const
-{
-    auto copy = std::unique_ptr<CachingContinuousBackend>(
-        new CachingContinuousBackend(inner_->clone_continuous(), cache_,
-                                     resolution_, salt_));
+    auto copy = std::make_unique<CachingBackend>(clone_as(*inner_), cache_,
+                                                 salt_);
     copy->point_ = point_;
     copy->key_prefix_ = key_prefix_;
     copy->has_point_ = has_point_;
-    copy->inner_prepared_ = false;
     return copy;
 }
+
+template class CachingBackend<DiscreteBackend>;
+template class CachingBackend<ContinuousBackend>;
 
 // ---------------------------------------------------------------------------
 // Composition helpers
-
-std::unique_ptr<Backend>
-wrap_with_cache(std::unique_ptr<Backend> backend, const CacheOptions& options)
-{
-    CAFQA_REQUIRE(backend != nullptr, "cannot cache a null backend");
-    if (auto* discrete = dynamic_cast<DiscreteBackend*>(backend.get())) {
-        backend.release();
-        return std::make_unique<CachingDiscreteBackend>(
-            std::unique_ptr<DiscreteBackend>(discrete), options);
-    }
-    if (auto* continuous = dynamic_cast<ContinuousBackend*>(backend.get())) {
-        backend.release();
-        return std::make_unique<CachingContinuousBackend>(
-            std::unique_ptr<ContinuousBackend>(continuous), options);
-    }
-    CAFQA_REQUIRE(false, "backend kind \"" + std::string(backend->kind()) +
-                             "\" is neither discrete nor continuous; "
-                             "cannot wrap it in a cache");
-    return nullptr; // unreachable
-}
 
 std::unique_ptr<Backend>
 wrap_with_cache(std::unique_ptr<Backend> backend,
                 std::shared_ptr<EvaluationCache> cache, std::uint64_t salt)
 {
     CAFQA_REQUIRE(backend != nullptr, "cannot cache a null backend");
-    if (auto* discrete = dynamic_cast<DiscreteBackend*>(backend.get())) {
-        backend.release();
+    if (backend->discrete()) {
         return std::make_unique<CachingDiscreteBackend>(
-            std::unique_ptr<DiscreteBackend>(discrete), std::move(cache),
-            salt);
-    }
-    if (auto* continuous = dynamic_cast<ContinuousBackend*>(backend.get())) {
-        backend.release();
-        return std::make_unique<CachingContinuousBackend>(
-            std::unique_ptr<ContinuousBackend>(continuous),
+            downcast_backend<DiscreteBackend>(std::move(backend)),
             std::move(cache), salt);
     }
-    CAFQA_REQUIRE(false, "backend kind \"" + std::string(backend->kind()) +
-                             "\" is neither discrete nor continuous; "
-                             "cannot wrap it in a cache");
-    return nullptr; // unreachable
+    return std::make_unique<CachingContinuousBackend>(
+        downcast_backend<ContinuousBackend>(std::move(backend)),
+        std::move(cache), salt);
 }
 
 std::optional<CacheStats>

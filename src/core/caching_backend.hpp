@@ -6,10 +6,11 @@
  * CAFQA's search stages re-probe the same points constantly (Bayesian
  * warm-up draws, annealing re-visits, the tuner's repeated energy
  * calls), and each probe pays a full state preparation plus one
- * expectation per observable. `CachingDiscreteBackend` /
- * `CachingContinuousBackend` wrap any concrete backend and memoize
- * `(prepared point, observable) -> expectation value` so a re-visited
- * point skips both the preparation and the measurement.
+ * expectation per observable. One decorator template,
+ * `CachingBackend<Base>`, wraps any concrete backend of either
+ * parameter domain and memoizes `(prepared point, observable) ->
+ * expectation value` so a re-visited point skips both the preparation
+ * and the measurement.
  *
  * Keys are canonical: discrete points key on the exact quarter-turn
  * step vector (the same identity `config_hash` uses for sample
@@ -62,12 +63,6 @@ struct CacheOptions
      *  one step of each other share an entry. The default is far below
      *  any optimizer's step size, so caching stays exact in practice. */
     double resolution = 1e-12;
-    /** When set, `CafqaPipeline` flips
-     *  `StoppingCriteria::unique_evaluations` for its stages so budgets
-     *  count unique points (re-visits are cache hits, not progress).
-     *  Off by default: the default cache is a pure memoizer and the
-     *  search trajectory stays bit-identical to the uncached run. */
-    bool unique_budget = false;
 };
 
 /** Aggregate counters of one cache (shared by every clone). */
@@ -120,7 +115,8 @@ class EvaluationCache
      *  search produces. */
     using Key = std::vector<std::int64_t>;
 
-    /** Throws std::invalid_argument on a zero capacity or shard count. */
+    /** Throws std::invalid_argument on a zero capacity or shard count,
+     *  or a non-positive resolution. */
     explicit EvaluationCache(const CacheOptions& options);
 
     /** Value for `key`, refreshing its LRU position; nullopt on miss.
@@ -144,8 +140,8 @@ class EvaluationCache
 
     std::size_t capacity() const { return capacity_; }
 
-    /** The options the cache was built with (wrappers sharing the cache
-     *  pull the quantization resolution from here, so every user of one
+    /** The options the cache was built with (continuous wrappers pull
+     *  the quantization resolution from here, so every user of one
      *  cache agrees on the continuous-point identity). */
     const CacheOptions& options() const { return options_; }
 
@@ -204,25 +200,29 @@ class EvaluationCache
  *  cache entries regardless of object identity. */
 std::size_t observable_hash(const PauliSum& op);
 
-/** Memoizing decorator over a discrete (quarter-turn) backend. */
-class CachingDiscreteBackend final : public DiscreteBackend
+/**
+ * Memoizing decorator over either parameter domain: `Base` is
+ * `DiscreteBackend` (quarter-turn steps, keyed verbatim) or
+ * `ContinuousBackend` (radians, keyed quantized to the cache's
+ * `CacheOptions::resolution`). Every clone shares the cache.
+ */
+template <class Base>
+class CachingBackend final : public Base
 {
   public:
-    /** Wrap `inner` with a fresh cache. */
-    CachingDiscreteBackend(std::unique_ptr<DiscreteBackend> inner,
-                           const CacheOptions& options);
+    using Point = typename Base::Point;
 
     /**
-     * Wrap `inner` over an EXISTING cache — the cross-run sharing hook
-     * the job server uses so every job on the same problem hits one
-     * process-wide cache. `salt` is mixed into every key; pass
-     * `backend_config_hash` of the backend's full configuration so
-     * distinct circuits/kinds sharing the cache can never alias (0
-     * keeps the legacy single-run key layout).
+     * Wrap `inner` over `cache` — a fresh one for a single run, or an
+     * existing one for cross-run sharing (the job server's
+     * process-wide cache). `salt` is mixed into every key; pass
+     * `backend_config_hash` of the backend's full configuration when
+     * distinct circuits/kinds share the cache so they can never alias
+     * (0 keeps the single-run key layout).
      */
-    CachingDiscreteBackend(std::unique_ptr<DiscreteBackend> inner,
-                           std::shared_ptr<EvaluationCache> cache,
-                           std::uint64_t salt);
+    CachingBackend(std::unique_ptr<Base> inner,
+                   std::shared_ptr<EvaluationCache> cache,
+                   std::uint64_t salt = 0);
 
     std::string_view kind() const override { return kind_; }
     std::size_t num_qubits() const override { return inner_->num_qubits(); }
@@ -230,7 +230,7 @@ class CachingDiscreteBackend final : public DiscreteBackend
 
     /** Records the point; the wrapped backend is prepared lazily, only
      *  when a lookup misses. */
-    void prepare(const std::vector<int>& steps) override;
+    void prepare(const Point& point) override;
 
     double expectation(const PauliSum& op) const override;
     std::vector<double>
@@ -240,87 +240,36 @@ class CachingDiscreteBackend final : public DiscreteBackend
      *  common cache). */
     std::unique_ptr<Backend> clone() const override;
 
-    /** The wrapped backend. */
-    const DiscreteBackend& inner() const { return *inner_; }
     /** Aggregate counters of the shared cache. */
     CacheStats cache_stats() const { return cache_->stats(); }
-    /** The shared cache itself (for composing wrappers by hand). */
-    const std::shared_ptr<EvaluationCache>& cache() const { return cache_; }
 
   private:
     /** Prepare the wrapped backend for the pending point (miss path). */
     void ensure_prepared() const;
 
-    std::unique_ptr<DiscreteBackend> inner_;
+    std::unique_ptr<Base> inner_;
     std::shared_ptr<EvaluationCache> cache_;
     std::string kind_;
     /** Nonzero when the cache is shared across configurations: mixed
      *  into every key as a leading word. */
     std::uint64_t salt_ = 0;
-    std::vector<int> point_;
+    Point point_;
     EvaluationCache::Key key_prefix_;
     bool has_point_ = false;
     mutable bool inner_prepared_ = false;
 };
 
-/** Memoizing decorator over a continuous (radian) backend. */
-class CachingContinuousBackend final : public ContinuousBackend
-{
-  public:
-    CachingContinuousBackend(std::unique_ptr<ContinuousBackend> inner,
-                             const CacheOptions& options);
+using CachingDiscreteBackend = CachingBackend<DiscreteBackend>;
+using CachingContinuousBackend = CachingBackend<ContinuousBackend>;
 
-    /** Wrap `inner` over an existing shared cache; see the discrete
-     *  wrapper. The quantization resolution comes from the shared
-     *  cache's own options so every sharer agrees on point identity. */
-    CachingContinuousBackend(std::unique_ptr<ContinuousBackend> inner,
-                             std::shared_ptr<EvaluationCache> cache,
-                             std::uint64_t salt);
-
-    std::string_view kind() const override { return kind_; }
-    std::size_t num_qubits() const override { return inner_->num_qubits(); }
-    std::size_t num_params() const override { return inner_->num_params(); }
-
-    void prepare(const std::vector<double>& params) override;
-
-    double expectation(const PauliSum& op) const override;
-    std::vector<double>
-    expectations(std::span<const PauliSum> ops) const override;
-
-    std::unique_ptr<Backend> clone() const override;
-
-    const ContinuousBackend& inner() const { return *inner_; }
-    CacheStats cache_stats() const { return cache_->stats(); }
-    const std::shared_ptr<EvaluationCache>& cache() const { return cache_; }
-
-  private:
-    CachingContinuousBackend(std::unique_ptr<ContinuousBackend> inner,
-                             std::shared_ptr<EvaluationCache> cache,
-                             double resolution, std::uint64_t salt);
-
-    void ensure_prepared() const;
-
-    std::unique_ptr<ContinuousBackend> inner_;
-    std::shared_ptr<EvaluationCache> cache_;
-    std::string kind_;
-    std::uint64_t salt_ = 0;
-    double resolution_ = 1e-12;
-    std::vector<double> point_;
-    EvaluationCache::Key key_prefix_;
-    bool has_point_ = false;
-    mutable bool inner_prepared_ = false;
-};
-
-/** Wrap any backend in the matching caching decorator (used by
- *  `make_backend` for `"cached:<kind>"` / `BackendConfig::cache`). */
-std::unique_ptr<Backend> wrap_with_cache(std::unique_ptr<Backend> backend,
-                                         const CacheOptions& options);
-
-/** Wrap over an existing shared cache with a key salt (used by
- *  `make_backend` when `BackendConfig::shared_cache` is set). */
+/** Wrap any backend in the caching decorator of its domain, over
+ *  `cache` with key `salt` (used by `make_backend` for
+ *  `"cached:<kind>"`, `BackendConfig::cache` and
+ *  `BackendConfig::shared_cache`). */
 std::unique_ptr<Backend>
 wrap_with_cache(std::unique_ptr<Backend> backend,
-                std::shared_ptr<EvaluationCache> cache, std::uint64_t salt);
+                std::shared_ptr<EvaluationCache> cache,
+                std::uint64_t salt = 0);
 
 /** The wrapper's cache stats, or nullopt when `backend` is not a
  *  caching decorator. */

@@ -55,7 +55,7 @@ exhaustive_clifford_search(const Circuit& ansatz,
         chunk_count, [&](std::size_t worker, std::size_t chunk) {
             auto& backend = clones[worker];
             if (!backend) {
-                backend = prototype.clone_discrete();
+                backend = clone_as(prototype);
             }
             const std::uint64_t lo = chunk * chunk_size;
             const std::uint64_t hi =

@@ -58,22 +58,6 @@ CliffordEvaluator::expectations(std::span<const PauliSum> ops) const
     return values;
 }
 
-std::vector<double>
-CliffordEvaluator::expectation_batch(
-    const std::vector<std::vector<int>>& candidates, const PauliSum& op)
-{
-    // Compile once, then sweep: each candidate pays only tableau
-    // construction plus one batched evaluation pass.
-    const StabilizerExpectationEngine& engine = engine_for(op);
-    std::vector<double> values;
-    values.reserve(candidates.size());
-    for (const auto& steps : candidates) {
-        prepare(steps);
-        values.push_back(engine.expectation(simulator_->tableau()));
-    }
-    return values;
-}
-
 int
 CliffordEvaluator::expectation(const PauliString& pauli) const
 {

@@ -63,9 +63,6 @@ class CliffordEvaluator final : public DiscreteBackend
     double expectation(const PauliSum& op) const override;
     std::vector<double>
     expectations(std::span<const PauliSum> ops) const override;
-    std::vector<double>
-    expectation_batch(const std::vector<std::vector<int>>& candidates,
-                      const PauliSum& op) override;
     /** Single Pauli term: exactly -1, 0 or +1. */
     int expectation(const PauliString& pauli) const;
 

@@ -86,7 +86,7 @@ CafqaPipeline::batch_objective(const DiscreteBackend& prototype,
         candidates.size(), [&](std::size_t worker, std::size_t index) {
             auto& backend = clones[worker];
             if (!backend) {
-                backend = prototype.clone_discrete();
+                backend = clone_as(prototype);
             }
             backend->prepare(candidates[index]);
             values[index] =
@@ -124,12 +124,6 @@ CafqaPipeline::discrete_search(DiscreteBackend& backend,
         criteria.max_evaluations = options.seed_steps.size() +
                                    options.warmup + options.iterations;
     }
-    if (config_.cache.enabled && config_.cache.unique_budget) {
-        // Re-visits are cache hits, not backend work: charge the budget
-        // for unique points only.
-        criteria.unique_evaluations = true;
-        criteria.unique_resolution = config_.cache.resolution;
-    }
 
     auto objective_fn = [&](const std::vector<int>& steps) {
         backend.prepare(steps);
@@ -149,7 +143,7 @@ CafqaPipeline::discrete_search(DiscreteBackend& backend,
         // strategies (portfolio arms) evaluate independently while a
         // memoizing backend's clones share the sharded cache, keeping
         // the race cache-cooperative.
-        std::shared_ptr<DiscreteBackend> clone = backend.clone_discrete();
+        std::shared_ptr<DiscreteBackend> clone = clone_as(backend);
         return [this, clone](const std::vector<int>& steps) {
             clone->prepare(steps);
             return config_.objective.combine(
@@ -393,10 +387,6 @@ CafqaPipeline::run_vqa_tune(const std::vector<double>& initial)
     if (criteria.max_evaluations == 0 &&
         optimizer_config.kind != "spsa") {
         criteria.max_evaluations = options.iterations;
-    }
-    if (config_.cache.enabled && config_.cache.unique_budget) {
-        criteria.unique_evaluations = true;
-        criteria.unique_resolution = config_.cache.resolution;
     }
 
     const auto optimizer = make_continuous_optimizer(optimizer_config);

@@ -125,11 +125,8 @@ struct PipelineConfig
      *  `cache.enabled`, every stage backend — discrete search, T-boost
      *  rounds, continuous tuner — is wrapped so re-visited points skip
      *  state preparation; per-stage `CacheStats` arrive on the
-     *  observer's StageEnd events. With the default
-     *  `cache.unique_budget == false` the cache is a pure memoizer and
-     *  results are bit-identical to the uncached run; setting
-     *  `unique_budget` additionally makes `stopping.max_evaluations`
-     *  count unique points only. */
+     *  observer's StageEnd events. The cache is a pure memoizer:
+     *  results are bit-identical to the uncached run. */
     CacheOptions cache;
     /**
      * Cross-run shared evaluation cache (the job server's process-wide

@@ -1,34 +1,11 @@
 #include "opt/optimizer.hpp"
 
-#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
-#include "opt/discrete_sampling.hpp"
 
 namespace cafqa {
-
-namespace {
-
-/** Order-dependent hash of a continuous point. With a resolution it
- *  quantizes exactly like the evaluation cache's keys (so "unique"
- *  matches "cache miss"); at 0 only bit-identical vectors dedupe. */
-std::size_t
-point_hash(const std::vector<double>& x, double resolution)
-{
-    std::size_t h = kHashSeed;
-    for (const double v : x) {
-        h = hash_mix(h, resolution > 0.0
-                            ? static_cast<std::uint64_t>(
-                                  quantize_coordinate(v, resolution))
-                            : std::bit_cast<std::uint64_t>(v));
-    }
-    return h;
-}
-
-} // namespace
 
 double
 DiscreteSpace::log10_size() const
@@ -73,51 +50,27 @@ OutcomeRecorder::OutcomeRecorder(const StoppingCriteria& criteria,
 }
 
 std::size_t
-OutcomeRecorder::budget_consumed() const
-{
-    // Under unique-evaluation accounting, repeats of recorded points are
-    // free; unrecorded probes (count_evaluation) always consume budget.
-    return criteria_.unique_evaluations
-        ? outcome_.unique_evaluations + probe_evaluations_
-        : outcome_.evaluations;
-}
-
-std::size_t
 OutcomeRecorder::remaining_budget() const
 {
     if (max_evaluations_ == 0) {
         return std::numeric_limits<std::size_t>::max();
     }
-    const std::size_t consumed = budget_consumed();
-    return max_evaluations_ > consumed ? max_evaluations_ - consumed : 0;
+    return max_evaluations_ > outcome_.evaluations
+        ? max_evaluations_ - outcome_.evaluations
+        : 0;
 }
 
 bool
 OutcomeRecorder::has_budget(std::size_t upcoming) const
 {
     return max_evaluations_ == 0 ||
-           budget_consumed() + upcoming <= max_evaluations_;
-}
-
-void
-OutcomeRecorder::note_point(std::size_t point_hash)
-{
-    if (seen_points_.insert(point_hash).second) {
-        ++outcome_.unique_evaluations;
-    }
+           outcome_.evaluations + upcoming <= max_evaluations_;
 }
 
 void
 OutcomeRecorder::record(const std::vector<int>& config, double value)
 {
     ++outcome_.evaluations;
-    // The guard lives here (not in note_point) so the default path
-    // skips both the hash and the set — an exhaustive enumeration would
-    // otherwise pay one set node per configuration for a disabled
-    // feature.
-    if (criteria_.unique_evaluations) {
-        note_point(config_hash(config));
-    }
     const bool improved =
         outcome_.history.empty() || value < outcome_.best_value;
     if (improved) {
@@ -130,9 +83,6 @@ void
 OutcomeRecorder::record(const std::vector<double>& x, double value)
 {
     ++outcome_.evaluations;
-    if (criteria_.unique_evaluations) {
-        note_point(point_hash(x, criteria_.unique_resolution));
-    }
     const bool improved =
         outcome_.history.empty() || value < outcome_.best_value;
     if (improved) {
@@ -178,7 +128,7 @@ OutcomeRecorder::after_record(double value, bool improved)
         stopped_ = StopReason::TargetReached;
         throw EarlyStop{};
     }
-    if (max_evaluations_ > 0 && budget_consumed() >= max_evaluations_) {
+    if (max_evaluations_ > 0 && outcome_.evaluations >= max_evaluations_) {
         stopped_ = StopReason::BudgetExhausted;
         throw EarlyStop{};
     }

@@ -26,7 +26,6 @@
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 namespace cafqa {
@@ -90,24 +89,6 @@ struct StoppingCriteria
     /** Improvement below this does not reset the patience window. */
     double min_improvement = 1e-12;
     /**
-     * When true, `max_evaluations` counts *unique* points: re-recording
-     * an already-seen configuration (or continuous point) does not
-     * consume budget. Pair with a memoizing backend
-     * (`core/caching_backend.hpp`), where re-visits cost a cache lookup
-     * instead of a state preparation — the budget then measures real
-     * backend work. Unrecorded probe calls (`count_evaluation`, e.g.
-     * SPSA's gradient probes) always consume budget.
-     */
-    bool unique_evaluations = false;
-    /**
-     * Quantization step for the unique identity of *continuous* points
-     * (0 = exact bit patterns). Set it to the paired cache's
-     * `CacheOptions::resolution` so "unique" here matches "miss" there
-     * — `CafqaPipeline` does this automatically. Ignored for discrete
-     * configurations.
-     */
-    double unique_resolution = 0.0;
-    /**
      * Cooperative cancellation token: when another thread stores `true`
      * here, the run stops at the next recorded evaluation with
      * `StopReason::Cancelled` (the best point found so far is still
@@ -138,11 +119,6 @@ struct OptimizeOutcome
     std::vector<double> best_trace;
     /** Total objective calls (>= history.size()). */
     std::size_t evaluations = 0;
-    /** Distinct points among the recorded evaluations — the budget
-     *  consumed under unique accounting. Tracked (and nonzero) only
-     *  when `StoppingCriteria::unique_evaluations` is set; the default
-     *  path skips the bookkeeping entirely. */
-    std::size_t unique_evaluations = 0;
     /** 1-based index into `history` where the best value appeared —
      *  the "iterations to converge" metric of Fig. 15. */
     std::size_t evaluations_to_best = 0;
@@ -239,13 +215,8 @@ class OutcomeRecorder
     bool has_budget(std::size_t upcoming) const;
 
     /** Count an objective call that is not recorded in the history
-     *  (e.g. SPSA's +/- gradient probes). Probes always consume budget,
-     *  even under `StoppingCriteria::unique_evaluations`. */
-    void count_evaluation()
-    {
-        ++outcome_.evaluations;
-        ++probe_evaluations_;
-    }
+     *  (e.g. SPSA's +/- gradient probes); it consumes budget. */
+    void count_evaluation() { ++outcome_.evaluations; }
 
     /** Record a discrete evaluation; throws EarlyStop when a criterion
      *  fires (after the value is recorded). */
@@ -262,20 +233,12 @@ class OutcomeRecorder
 
   private:
     void after_record(double value, bool improved);
-    /** Count one point toward the unique tally (no-op on repeats). */
-    void note_point(std::size_t point_hash);
-    /** Evaluations charged against `max_evaluations_`. */
-    std::size_t budget_consumed() const;
 
     StoppingCriteria criteria_;
     std::size_t max_evaluations_;
     ProgressCallback progress_;
     std::chrono::steady_clock::time_point start_;
     std::size_t since_improvement_ = 0;
-    /** Hashes of recorded points (unique-evaluation accounting). */
-    std::unordered_set<std::size_t> seen_points_;
-    /** Probe calls counted via count_evaluation (never deduplicable). */
-    std::size_t probe_evaluations_ = 0;
     std::optional<StopReason> stopped_;
     OptimizeOutcome outcome_;
 };

@@ -39,7 +39,6 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
     constexpr std::size_t kChunk = 4096;
 
     std::unordered_set<std::size_t> seen;
-    std::size_t dry_chunks = 0;
     try {
         for (const auto& config : context.seed_configs) {
             if (seen.insert(config_hash(config)).second) {
@@ -47,17 +46,11 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
             }
         }
 
-        // The budget is re-queried per chunk so unique-evaluation
-        // accounting composes: under `criteria.unique_evaluations`,
-        // recorded repeats do not consume budget, so the loop keeps
-        // drawing until enough *distinct* points have been evaluated.
-        // In that mode a draw that is still a duplicate after the
-        // bounded retries is dropped rather than re-evaluated (it could
-        // never make progress), and two consecutive all-duplicate
-        // chunks end the run — the space is saturated.
+        // The budget is re-queried per chunk; every chunk draws at
+        // least one configuration, so the loop ends with the budget.
         std::size_t drawn = 0;
         std::vector<std::vector<int>> block;
-        while (dry_chunks < 2) {
+        while (true) {
             const std::size_t remaining = criteria.max_evaluations > 0
                 ? recorder.remaining_budget()
                 : (options_.samples > drawn ? options_.samples - drawn
@@ -75,18 +68,9 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
                     config = random_config(space, rng);
                 }
                 ++drawn;
-                if (criteria.unique_evaluations &&
-                    seen.count(config_hash(config)) != 0) {
-                    continue; // exhausted retries: already evaluated
-                }
                 seen.insert(config_hash(config));
                 block.push_back(std::move(config));
             }
-            if (block.empty()) {
-                ++dry_chunks;
-                continue;
-            }
-            dry_chunks = 0;
             if (context.batch) {
                 const std::vector<double> values = context.batch(block);
                 CAFQA_REQUIRE(values.size() == block.size(),
@@ -104,8 +88,7 @@ RandomSearchOptimizer::minimize(const DiscreteObjective& objective,
         // A stopping criterion fired; the recorder holds the reason.
     }
 
-    return recorder.finish(dry_chunks >= 2 ? StopReason::SpaceExhausted
-                                           : StopReason::BudgetExhausted);
+    return recorder.finish(StopReason::BudgetExhausted);
 }
 
 OptimizeOutcome

@@ -216,7 +216,6 @@ combine_attempts(std::vector<OptimizeOutcome> attempts)
                                 attempt.history.begin(),
                                 attempt.history.end());
         combined.evaluations += attempt.evaluations;
-        combined.unique_evaluations += attempt.unique_evaluations;
         if (!attempt.best_config.empty() &&
             attempt.best_value < combined.best_value) {
             combined.best_value = attempt.best_value;
@@ -522,7 +521,6 @@ PortfolioSearch::minimize(const DiscreteObjective& objective,
         report_.trace_arm.insert(report_.trace_arm.end(),
                                  outcomes[i].history.size(), i);
         merged.evaluations += outcomes[i].evaluations;
-        merged.unique_evaluations += outcomes[i].unique_evaluations;
         offset += outcomes[i].history.size();
     }
 

@@ -266,46 +266,13 @@ TEST(BatchedExpectations, SampledBackendMatchesCloneWithSameRngState)
 
     std::vector<double> params(backend->num_params(), 0.5);
     backend->prepare(params);
-    const auto twin = backend->clone_continuous();
+    const auto twin = clone_as(*backend);
 
     const std::vector<double> batched =
         backend->expectations(observables);
     for (std::size_t o = 0; o < observables.size(); ++o) {
         EXPECT_NEAR(batched[o], twin->expectation(observables[o]), 1e-12)
             << "observable " << o;
-    }
-}
-
-TEST(BatchedExpectations, CandidateBatchMatchesPreparePerCandidate)
-{
-    const std::size_t n = 3;
-    const Circuit ansatz = make_efficient_su2(n);
-    const PauliSum op = PauliSum::from_terms(
-        n, {{0.7, "XXI"}, {0.3, "IZZ"}, {-0.2, "YIY"}});
-
-    Rng rng(17);
-    std::vector<std::vector<int>> candidates;
-    for (int c = 0; c < 9; ++c) {
-        std::vector<int> steps(ansatz.num_params());
-        for (auto& s : steps) {
-            s = static_cast<int>(rng.uniform_int(0, 3));
-        }
-        candidates.push_back(std::move(steps));
-    }
-
-    BackendConfig config;
-    config.kind = "clifford";
-    config.ansatz = ansatz;
-    const auto batch_backend = make_discrete_backend(config);
-    const auto single_backend = make_discrete_backend(config);
-
-    const std::vector<double> batched =
-        batch_backend->expectation_batch(candidates, op);
-    ASSERT_EQ(batched.size(), candidates.size());
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-        single_backend->prepare(candidates[c]);
-        EXPECT_NEAR(batched[c], single_backend->expectation(op), 1e-12)
-            << "candidate " << c;
     }
 }
 
@@ -319,7 +286,7 @@ TEST(BackendClone, ClonesAreIndependent)
     original.prepare(std::vector<int>(ansatz.num_params(), 0));
     const double before = original.expectation(zz);
 
-    const auto copy = original.clone_discrete();
+    const auto copy = clone_as(original);
     EXPECT_NEAR(copy->expectation(zz), before, 1e-12);
 
     // Re-preparing the clone must not disturb the original.

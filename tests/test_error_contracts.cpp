@@ -489,13 +489,23 @@ TEST(ErrorContracts, CacheGuards)
     config.cache.shards = 0;
     EXPECT_THROW(make_backend(config), std::invalid_argument);
 
+    // The resolution is validated by the cache itself, whichever domain
+    // its wrappers serve.
+    config.cache.shards = 8;
+    config.cache.resolution = 0.0;
+    for (const std::string kind : {"clifford", "statevector"}) {
+        config.kind = kind;
+        EXPECT_THROW(make_backend(config), std::invalid_argument) << kind;
+    }
     CacheOptions options;
-    EXPECT_THROW(CachingDiscreteBackend(nullptr, options),
-                 std::invalid_argument);
+    options.resolution = -1e-9;
+    EXPECT_THROW(EvaluationCache{options}, std::invalid_argument);
 
-    options.resolution = 0.0;
+    const auto cache = std::make_shared<EvaluationCache>(CacheOptions{});
+    EXPECT_THROW(CachingDiscreteBackend(nullptr, cache),
+                 std::invalid_argument);
     EXPECT_THROW(CachingContinuousBackend(
-                     std::make_unique<IdealEvaluator>(ansatz), options),
+                     std::make_unique<IdealEvaluator>(ansatz), nullptr),
                  std::invalid_argument);
 }
 
