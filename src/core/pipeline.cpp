@@ -194,11 +194,13 @@ CafqaPipeline::run_clifford_search()
 namespace {
 
 /** Insert a T gate immediately after the rotation with parameter slot
- *  `slot`. */
+ *  `slot`. Starts from a copy of `ansatz` so the parameter count
+ *  carries over. */
 Circuit
 with_t_after_slot(const Circuit& ansatz, std::size_t slot)
 {
-    Circuit out(ansatz.num_qubits());
+    Circuit out = ansatz;
+    out.mutable_ops().clear();
     for (const auto& op : ansatz.ops()) {
         out.mutable_ops().push_back(op);
         if (is_rotation(op.kind) && op.param >= 0 &&

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "circuit/efficient_su2.hpp"
+#include "core/batch_runner.hpp"
 #include "core/cafqa_driver.hpp"
 #include "core/clifford_ansatz.hpp"
 #include "core/evaluator.hpp"
@@ -189,6 +192,25 @@ TEST(CafqaPipeline, TBoostNeverHurtsAndFillsResultTypes)
 
     const GroundState exact = lanczos_ground_state(system.hamiltonian);
     EXPECT_GE(boost.best_energy, exact.energy - 1e-9);
+}
+
+TEST(CafqaPipeline, TBoostKeepsParameterCountForTuning)
+{
+    // An accepted T insertion must keep the ansatz's parameter slots,
+    // or tuning the boosted circuit rejects its own initialization.
+    const RunSpec spec = RunSpec::parse(
+        "problem=molecule:LiH?bond=3.2 seed=54125 search=anneal max-t=1 "
+        "tune=200");
+    const RunRecord record = execute_run_spec(spec);
+    EXPECT_GE(record.t_gates, 1u);
+    ASSERT_TRUE(record.tuned_value.has_value());
+    EXPECT_TRUE(std::isfinite(*record.tuned_value));
+
+    const problems::Problem problem = problems::make_problem(spec.problem);
+    CafqaPipeline pipeline(make_pipeline_config(spec, problem));
+    const TBoostResult& boost = pipeline.run_t_boost(spec.max_t);
+    ASSERT_GE(boost.t_positions.size(), 1u);
+    EXPECT_EQ(boost.circuit.num_params(), problem.ansatz.num_params());
 }
 
 TEST(CafqaPipeline, SampledTuneBackendRunsThroughRegistry)
