@@ -1,8 +1,8 @@
 /**
  * @file
  * The one hash combiner shared by every hashing site in the repository
- * — sample deduplication (`config_hash`), evaluation-cache keys, and
- * the unique-evaluation budget accounting. The caching layer's
+ * — sample deduplication (`config_hash`) and evaluation-cache keys.
+ * The caching layer's
  * correctness argument ("the cache dedupes on the same identity the
  * samplers do") depends on all of them mixing identically, so the
  * combiner lives here rather than being re-derived per module.
@@ -30,10 +30,9 @@ hash_mix(std::size_t h, std::uint64_t word)
 }
 
 /**
- * One quantized point coordinate — the shared identity of the
- * evaluation cache's continuous keys and the unique-evaluation budget
- * accounting (the two must agree on when two points are "the same").
- * Saturates at the int64 range so a huge value or ultra-fine
+ * One quantized point coordinate — the identity of the evaluation
+ * cache's continuous keys (points within one `resolution` step are
+ * "the same"). Saturates at the int64 range so a huge value or ultra-fine
  * resolution cannot overflow llround into unspecified results.
  */
 inline std::int64_t
