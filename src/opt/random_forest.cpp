@@ -13,6 +13,9 @@ RandomForest::fit(const std::vector<std::vector<double>>& x,
 {
     CAFQA_REQUIRE(!x.empty() && x.size() == y.size(),
                   "training data shape mismatch");
+    CAFQA_REQUIRE(options.num_trees > 0, "a forest needs at least one tree");
+    // Every tree splits on the same columns, so code them once.
+    const DecisionTree::RankedColumns columns(x);
     Rng rng(seed);
     trees_.assign(options.num_trees, DecisionTree{});
 
@@ -27,18 +30,16 @@ RandomForest::fit(const std::vector<std::vector<double>>& x,
         std::max(1.0, options.bootstrap_fraction *
                           static_cast<double>(x.size())));
 
-    std::vector<std::vector<double>> bx;
-    std::vector<double> by;
+    // A bootstrap sample is a list of row ids in draw order; the trees
+    // index the shared columns instead of copying rows.
+    std::vector<std::uint32_t> rows(sample_size);
+    DecisionTree::FitScratch scratch(x.size(), sample_size);
     for (auto& tree : trees_) {
-        bx.clear();
-        by.clear();
-        for (std::size_t s = 0; s < sample_size; ++s) {
-            const auto i = static_cast<std::size_t>(rng.uniform_int(
+        for (auto& row : rows) {
+            row = static_cast<std::uint32_t>(rng.uniform_int(
                 0, static_cast<std::int64_t>(x.size()) - 1));
-            bx.push_back(x[i]);
-            by.push_back(y[i]);
         }
-        tree.fit(bx, by, rng, options.tree);
+        tree.fit_rows(columns, y, rows, scratch, rng, options.tree);
     }
 }
 

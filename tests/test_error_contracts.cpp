@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "chem/basis.hpp"
@@ -192,6 +193,30 @@ TEST(ErrorContracts, OptimizerGuards)
     EXPECT_THROW((void)tree.predict({1.0}), std::invalid_argument);
     RandomForest forest;
     EXPECT_THROW((void)forest.predict({1.0}), std::invalid_argument);
+
+    // Surrogate training data: rows must share x[0]'s width and hold
+    // finite features, and a forest needs a tree. Targets are taken as
+    // given, since the optimizer records whatever the objective returns.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> y = {0.0, 1.0, 2.0};
+    const std::vector<std::vector<std::vector<double>>> bad_rows = {
+        {{0, 1}, {2}, {3, 0}},
+        {{0}, {1, 2}, {3}},
+        {{0, 1}, {nan, 2}, {3, 0}},
+        {{0, 1}, {1, 2}, {3, inf}},
+        {{-inf, 1}, {1, 2}, {3, 0}},
+    };
+    Rng rng(1);
+    for (const auto& x : bad_rows) {
+        EXPECT_THROW(tree.fit(x, y, rng), std::invalid_argument);
+        EXPECT_THROW(forest.fit(x, y, 1), std::invalid_argument);
+    }
+    const std::vector<std::vector<double>> good = {{0, 1}, {1, 2}, {3, 0}};
+    ForestOptions no_trees;
+    no_trees.num_trees = 0;
+    EXPECT_THROW(forest.fit(good, y, 1, no_trees), std::invalid_argument);
+    EXPECT_NO_THROW(forest.fit(good, {0.0, nan, inf}, 1));
 
     const auto flat_discrete = [](const std::vector<int>&) { return 0.0; };
     DiscreteSpace empty;

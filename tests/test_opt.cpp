@@ -7,10 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "opt/bayes_opt.hpp"
@@ -158,6 +162,435 @@ TEST(RandomForest, VarianceIsNonnegativeAndInformative)
     EXPECT_GE(p.variance, 0.0);
     EXPECT_GT(p.mean, 0.0);
     EXPECT_LT(p.mean, 3.0);
+}
+
+// ---- Split-order oracle --------------------------------------------
+//
+// The comparison-sort tree the counting-sort split search replaced,
+// kept verbatim as the reference: every node sorts (value, index) pairs
+// per feature. DecisionTree and RandomForest must reproduce it bit for
+// bit — same nodes, same thresholds, same floating-point sums, same RNG
+// draws.
+
+class SortSplitTree
+{
+  public:
+    void fit(const std::vector<std::vector<double>>& x,
+             const std::vector<double>& y, Rng& rng,
+             const TreeOptions& options)
+    {
+        nodes_.clear();
+        std::vector<std::size_t> indices(x.size());
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            indices[i] = i;
+        }
+        build(x, y, indices, 0, rng, options);
+    }
+
+    double predict(const std::vector<double>& x) const
+    {
+        std::size_t node = 0;
+        while (nodes_[node].feature >= 0) {
+            const auto f = static_cast<std::size_t>(nodes_[node].feature);
+            node = static_cast<std::size_t>(
+                (x[f] <= nodes_[node].threshold) ? nodes_[node].left
+                                                 : nodes_[node].right);
+        }
+        return nodes_[node].value;
+    }
+
+    std::size_t node_count() const { return nodes_.size(); }
+
+  private:
+    struct Node
+    {
+        int feature = -1;
+        double threshold = 0.0;
+        double value = 0.0;
+        int left = -1;
+        int right = -1;
+    };
+
+    static double mean_of(const std::vector<double>& y,
+                          const std::vector<std::size_t>& idx)
+    {
+        double sum = 0.0;
+        for (const std::size_t i : idx) {
+            sum += y[i];
+        }
+        return sum / static_cast<double>(idx.size());
+    }
+
+    int build(const std::vector<std::vector<double>>& x,
+              const std::vector<double>& y,
+              std::vector<std::size_t>& indices, std::size_t depth,
+              Rng& rng, const TreeOptions& options)
+    {
+        const int node_id = static_cast<int>(nodes_.size());
+        nodes_.push_back(Node{});
+        nodes_[static_cast<std::size_t>(node_id)].value = mean_of(y, indices);
+
+        if (depth >= options.max_depth ||
+            indices.size() < 2 * options.min_samples_leaf) {
+            return node_id;
+        }
+
+        const std::size_t num_features = x[0].size();
+        std::size_t subset = options.feature_subset;
+        if (subset == 0 || subset > num_features) {
+            subset = num_features;
+        }
+        const std::vector<std::size_t> features =
+            rng.sample_without_replacement(num_features, subset);
+
+        double best_score = std::numeric_limits<double>::infinity();
+        int best_feature = -1;
+        double best_threshold = 0.0;
+
+        std::vector<std::pair<double, std::size_t>> sorted;
+        for (const std::size_t f : features) {
+            sorted.clear();
+            for (const std::size_t i : indices) {
+                sorted.emplace_back(x[i][f], i);
+            }
+            std::sort(sorted.begin(), sorted.end());
+
+            double left_sum = 0.0;
+            double left_sq = 0.0;
+            double right_sum = 0.0;
+            double right_sq = 0.0;
+            for (const auto& [value, i] : sorted) {
+                (void)value;
+                right_sum += y[i];
+                right_sq += y[i] * y[i];
+            }
+            for (std::size_t k = 0; k + 1 < sorted.size(); ++k) {
+                const double yi = y[sorted[k].second];
+                left_sum += yi;
+                left_sq += yi * yi;
+                right_sum -= yi;
+                right_sq -= yi * yi;
+                if (sorted[k].first == sorted[k + 1].first) {
+                    continue;
+                }
+                const std::size_t nl = k + 1;
+                const std::size_t nr = sorted.size() - nl;
+                if (nl < options.min_samples_leaf ||
+                    nr < options.min_samples_leaf) {
+                    continue;
+                }
+                const double sse_left =
+                    left_sq - left_sum * left_sum / static_cast<double>(nl);
+                const double sse_right = right_sq - right_sum * right_sum /
+                                                        static_cast<double>(nr);
+                const double score = sse_left + sse_right;
+                if (score < best_score) {
+                    best_score = score;
+                    best_feature = static_cast<int>(f);
+                    best_threshold =
+                        0.5 * (sorted[k].first + sorted[k + 1].first);
+                }
+            }
+        }
+
+        if (best_feature < 0) {
+            return node_id;
+        }
+
+        std::vector<std::size_t> left_idx;
+        std::vector<std::size_t> right_idx;
+        for (const std::size_t i : indices) {
+            if (x[i][static_cast<std::size_t>(best_feature)] <=
+                best_threshold) {
+                left_idx.push_back(i);
+            } else {
+                right_idx.push_back(i);
+            }
+        }
+        if (left_idx.empty() || right_idx.empty()) {
+            return node_id;
+        }
+
+        nodes_[static_cast<std::size_t>(node_id)].feature = best_feature;
+        nodes_[static_cast<std::size_t>(node_id)].threshold = best_threshold;
+        const int left = build(x, y, left_idx, depth + 1, rng, options);
+        const int right = build(x, y, right_idx, depth + 1, rng, options);
+        nodes_[static_cast<std::size_t>(node_id)].left = left;
+        nodes_[static_cast<std::size_t>(node_id)].right = right;
+        return node_id;
+    }
+
+    std::vector<Node> nodes_;
+};
+
+/** The forest over SortSplitTree: bootstraps drawn from the same Rng
+ *  sequence, each tree fitted on copied rows. */
+class SortSplitForest
+{
+  public:
+    void fit(const std::vector<std::vector<double>>& x,
+             const std::vector<double>& y, std::uint64_t seed,
+             ForestOptions options)
+    {
+        Rng rng(seed);
+        trees_.assign(options.num_trees, SortSplitTree{});
+        if (options.tree.feature_subset == 0) {
+            options.tree.feature_subset = std::max<std::size_t>(
+                1, static_cast<std::size_t>(std::round(
+                       std::sqrt(static_cast<double>(x[0].size())))));
+        }
+        const auto sample_size = static_cast<std::size_t>(
+            std::max(1.0, options.bootstrap_fraction *
+                              static_cast<double>(x.size())));
+        std::vector<std::vector<double>> bx;
+        std::vector<double> by;
+        for (auto& tree : trees_) {
+            bx.clear();
+            by.clear();
+            for (std::size_t s = 0; s < sample_size; ++s) {
+                const auto i = static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(x.size()) - 1));
+                bx.push_back(x[i]);
+                by.push_back(y[i]);
+            }
+            tree.fit(bx, by, rng, options.tree);
+        }
+    }
+
+    ForestPrediction predict_with_variance(const std::vector<double>& x) const
+    {
+        double sum = 0.0;
+        double sq = 0.0;
+        for (const auto& tree : trees_) {
+            const double p = tree.predict(x);
+            sum += p;
+            sq += p * p;
+        }
+        const double n = static_cast<double>(trees_.size());
+        ForestPrediction out;
+        out.mean = sum / n;
+        out.variance = std::max(0.0, sq / n - out.mean * out.mean);
+        return out;
+    }
+
+  private:
+    std::vector<SortSplitTree> trees_;
+};
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+using Rows = std::vector<std::vector<double>>;
+
+/** Rows of `width` features drawn from `values`, targets N(0, 1). */
+void
+draw_rows(Rng& rng, std::size_t n, std::size_t width,
+          const std::vector<double>& values, Rows& x, std::vector<double>& y)
+{
+    x.clear();
+    y.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<double> row(width);
+        for (double& v : row) {
+            v = values[static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(values.size()) - 1))];
+        }
+        x.push_back(std::move(row));
+        y.push_back(rng.normal());
+    }
+}
+
+/** Probe rows: every training row, then rows mixing the training
+ *  values, the half-steps between quarter turns (the thresholds a
+ *  quarter-turn tree holds) and uniform reals; 2000 at least. */
+Rows
+probe_rows(const Rows& x, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Rows probes = x;
+    const std::size_t width = x[0].size();
+    while (probes.size() < x.size() + 2000) {
+        std::vector<double> row(width);
+        for (std::size_t f = 0; f < width; ++f) {
+            double& v = row[f];
+            switch (rng.uniform_int(0, 2)) {
+            case 0:
+                v = x[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(x.size()) - 1))][f];
+                break;
+            case 1:
+                v = 0.5 * static_cast<double>(rng.uniform_int(-1, 7));
+                break;
+            default:
+                v = rng.uniform_real(-3.0, 4.0);
+            }
+        }
+        probes.push_back(std::move(row));
+    }
+    return probes;
+}
+
+/** Fit both trees from the same Rng state and compare them exactly. */
+void
+expect_tree_matches_oracle(const Rows& x, const std::vector<double>& y,
+                           const TreeOptions& options, std::uint64_t seed)
+{
+    SortSplitTree oracle;
+    Rng oracle_rng(seed);
+    oracle.fit(x, y, oracle_rng, options);
+    DecisionTree tree;
+    Rng rng(seed);
+    tree.fit(x, y, rng, options);
+
+    ASSERT_EQ(tree.node_count(), oracle.node_count());
+    // Same number of feature-subset draws.
+    ASSERT_EQ(rng.engine()(), oracle_rng.engine()());
+    for (const auto& probe : probe_rows(x, seed + 1)) {
+        ASSERT_EQ(bits(tree.predict(probe)), bits(oracle.predict(probe)));
+    }
+}
+
+TEST(DecisionTree, CountingSortMatchesSortOracleOnQuarterTurnGrids)
+{
+    const std::vector<double> steps = {0.0, 1.0, 2.0, 3.0};
+    Rng data(11);
+    Rows x;
+    std::vector<double> y;
+    for (const std::size_t width : {1u, 16u, 48u}) {
+        for (const std::size_t n : {1u, 2u, 3u, 5u, 200u, 500u}) {
+            draw_rows(data, n, width, steps, x, y);
+            for (const std::size_t leaf : {1u, 2u}) {
+                for (const std::size_t depth : {1u, 16u}) {
+                    for (const std::size_t subset : {0u, 4u}) {
+                        SCOPED_TRACE("width " + std::to_string(width) +
+                                     " n " + std::to_string(n) + " leaf " +
+                                     std::to_string(leaf) + " depth " +
+                                     std::to_string(depth) + " subset " +
+                                     std::to_string(subset));
+                        expect_tree_matches_oracle(
+                            x, y,
+                            {.max_depth = depth,
+                             .min_samples_leaf = leaf,
+                             .feature_subset = subset},
+                            width * 1000 + n);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(DecisionTree, CountingSortMatchesSortOracleOnDuplicateRows)
+{
+    // 400 rows drawn from 6 distinct ones, each with its own target
+    // noise: long tie runs whose order decides the running sums.
+    Rng data(12);
+    Rows distinct;
+    std::vector<double> unused;
+    draw_rows(data, 6, 16, {0.0, 1.0, 2.0, 3.0}, distinct, unused);
+    Rows x;
+    std::vector<double> y;
+    for (int i = 0; i < 400; ++i) {
+        x.push_back(distinct[static_cast<std::size_t>(data.uniform_int(0, 5))]);
+        y.push_back(data.normal(0.0, 1e3));
+    }
+    for (const std::size_t leaf : {1u, 2u}) {
+        for (const std::size_t depth : {1u, 16u}) {
+            SCOPED_TRACE("leaf " + std::to_string(leaf) + " depth " +
+                         std::to_string(depth));
+            expect_tree_matches_oracle(
+                x, y, {.max_depth = depth, .min_samples_leaf = leaf}, 5);
+        }
+    }
+}
+
+TEST(DecisionTree, CountingSortMatchesSortOracleOnContinuousColumns)
+{
+    Rng data(13);
+    // Continuous, then mixed (continuous next to quarter-turn and
+    // signed-zero columns), each at a few sizes.
+    for (const std::size_t n : {3u, 50u, 300u}) {
+        Rows x;
+        std::vector<double> y;
+        for (std::size_t i = 0; i < n; ++i) {
+            x.push_back({data.uniform_real(-2.0, 2.0),
+                         data.uniform_real(0.0, 1e-3),
+                         data.normal(0.0, 10.0)});
+            y.push_back(data.normal());
+        }
+        for (const std::size_t leaf : {1u, 2u}) {
+            for (const std::size_t depth : {1u, 16u}) {
+                SCOPED_TRACE("continuous n " + std::to_string(n) + " leaf " +
+                             std::to_string(leaf) + " depth " +
+                             std::to_string(depth));
+                expect_tree_matches_oracle(
+                    x, y, {.max_depth = depth, .min_samples_leaf = leaf}, n);
+            }
+        }
+
+        const std::vector<double> signed_values = {-2.5, -1.0, -0.0, 0.0,
+                                                   0.75, 3.0};
+        for (std::size_t i = 0; i < n; ++i) {
+            x[i].push_back(static_cast<double>(data.uniform_int(0, 3)));
+            x[i].push_back(signed_values[static_cast<std::size_t>(
+                data.uniform_int(0, 5))]);
+            x[i].push_back(data.bernoulli(0.5) ? -0.0 : 0.0);
+        }
+        for (const std::size_t leaf : {1u, 2u}) {
+            for (const std::size_t depth : {1u, 16u}) {
+                SCOPED_TRACE("mixed n " + std::to_string(n) + " leaf " +
+                             std::to_string(leaf) + " depth " +
+                             std::to_string(depth));
+                expect_tree_matches_oracle(
+                    x, y, {.max_depth = depth, .min_samples_leaf = leaf},
+                    n + 1);
+            }
+        }
+    }
+}
+
+TEST(RandomForest, BootstrapByPositionMatchesCopiedRowOracle)
+{
+    Rng data(14);
+    Rows x;
+    std::vector<double> y;
+    struct Case
+    {
+        std::size_t width;
+        std::size_t n;
+        std::vector<double> values;
+        ForestOptions options;
+    };
+    const std::vector<Case> cases = {
+        {16, 200, {0.0, 1.0, 2.0, 3.0}, {}},
+        {48, 500, {0.0, 1.0, 2.0, 3.0}, {}},
+        {8, 120, {-1.5, -0.0, 0.0, 0.25, 2.0},
+         {.num_trees = 7, .tree = {}, .bootstrap_fraction = 0.6}},
+        {4, 90, {0.0, 1.0, 2.0, 3.0},
+         {.num_trees = 5,
+          .tree = {.max_depth = 3, .min_samples_leaf = 1,
+                   .feature_subset = 0},
+          .bootstrap_fraction = 1.5}},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE("width " + std::to_string(c.width) + " n " +
+                     std::to_string(c.n));
+        draw_rows(data, c.n, c.width, c.values, x, y);
+        SortSplitForest oracle;
+        oracle.fit(x, y, 77, c.options);
+        RandomForest forest;
+        forest.fit(x, y, 77, c.options);
+        ASSERT_EQ(forest.num_trees(), c.options.num_trees);
+        for (const auto& probe : probe_rows(x, c.n)) {
+            const ForestPrediction got = forest.predict_with_variance(probe);
+            const ForestPrediction want = oracle.predict_with_variance(probe);
+            ASSERT_EQ(bits(got.mean), bits(want.mean));
+            ASSERT_EQ(bits(got.variance), bits(want.variance));
+        }
+    }
 }
 
 TEST(BayesOpt, FindsDiscreteOptimum)
