@@ -1,6 +1,7 @@
 #include "problems/problem.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include "problems/molecule_factory.hpp"
 #include "problems/spin_chains.hpp"
 #include "statevector/lanczos.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace cafqa::problems {
 
@@ -503,6 +505,39 @@ registry()
     return instance;
 }
 
+/** Bumped by every `register_problem_family`, after the registry
+ *  write, so a memo entry tagged with an older value may hold a
+ *  problem built by a replaced factory. */
+std::atomic<std::uint64_t>&
+registry_generation()
+{
+    static std::atomic<std::uint64_t> generation{0};
+    return generation;
+}
+
+/** `cafqa_problem_memo_total{result=...}`, registered on first use so
+ *  constructing a memo does no work. */
+struct MemoCounters
+{
+    telemetry::Counter& hits;
+    telemetry::Counter& misses;
+};
+
+const MemoCounters&
+memo_counters()
+{
+    static const MemoCounters counters = [] {
+        auto& registry = telemetry::MetricsRegistry::instance();
+        const std::string name = "cafqa_problem_memo_total";
+        const std::string help =
+            "Problem memo lookups, by result (a miss builds the problem)";
+        return MemoCounters{
+            registry.counter(name, {{"result", "hit"}}, help),
+            registry.counter(name, {{"result", "miss"}}, help)};
+    }();
+    return counters;
+}
+
 } // namespace
 
 // ---------------------------------------------------------- ProblemKey
@@ -592,11 +627,34 @@ Problem::metric(const std::string& name) const
 std::optional<double>
 Problem::exact_energy() const
 {
-    if (!exact_cache_) {
-        exact_cache_ = exact_solver ? exact_solver()
-                                    : std::optional<double>();
+    enum : int { kIdle, kSolving, kDone };
+    ExactOnce& once = *exact_;
+    for (;;) {
+        int state = once.state.load();
+        if (state == kDone) {
+            return once.energy;
+        }
+        if (state == kSolving) {
+            once.state.wait(kSolving);
+            continue;
+        }
+        if (!once.state.compare_exchange_strong(state, kSolving)) {
+            continue;
+        }
+        try {
+            once.energy = exact_solver ? exact_solver()
+                                       : std::optional<double>();
+        } catch (...) {
+            // Leave the energy unsolved: a waiting caller (or the next
+            // call) runs the solver again.
+            once.state.store(kIdle);
+            once.state.notify_all();
+            throw;
+        }
+        once.state.store(kDone);
+        once.state.notify_all();
+        return once.energy;
     }
-    return *exact_cache_;
 }
 
 // --------------------------------------------------------- factory API
@@ -612,6 +670,7 @@ register_problem_family(const std::string& family, ProblemFactory factory,
                   "problem factory must be callable");
     registry().add(family, {std::move(factory), std::move(description),
                             std::move(sample_key)});
+    registry_generation().fetch_add(1);
 }
 
 std::vector<std::string>
@@ -642,6 +701,63 @@ make_problem(const std::string& key)
     CAFQA_ASSERT(problem.hamiltonian().num_qubits() == problem.num_qubits,
                  "problem Hamiltonian qubit count mismatch");
     return problem;
+}
+
+// --------------------------------------------------------- ProblemMemo
+
+std::vector<ProblemMemo::Entry>::iterator
+ProblemMemo::find_locked(const std::string& key)
+{
+    return std::find_if(
+        entries_.begin(), entries_.end(),
+        [&key](const Entry& entry) { return entry.key == key; });
+}
+
+std::shared_ptr<const Problem>
+ProblemMemo::get(const std::string& key)
+{
+    // Read before the build, so a family replaced while it runs leaves
+    // the new entry tagged stale rather than current.
+    const std::uint64_t generation = registry_generation().load();
+    const MemoCounters& counters = memo_counters();
+    // Dropped entries are released after the lock is.
+    std::vector<Entry> dropped;
+    std::shared_ptr<const Problem> hit;
+    {
+        MutexLock lock(memo_mutex_);
+        const auto it = find_locked(key);
+        if (it != entries_.end() && it->generation >= generation) {
+            std::rotate(entries_.begin(), it, it + 1);
+            hit = entries_.front().problem;
+        } else if (it != entries_.end()) {
+            dropped.push_back(std::move(*it));
+            entries_.erase(it);
+        }
+    }
+    if (hit) {
+        counters.hits.add();
+        return hit;
+    }
+    counters.misses.add();
+    auto built = std::make_shared<const Problem>(make_problem(key));
+
+    MutexLock lock(memo_mutex_);
+    const auto it = find_locked(key);
+    if (it != entries_.end() && it->generation >= generation) {
+        // A concurrent miss on the same key inserted first.
+        std::rotate(entries_.begin(), it, it + 1);
+        return entries_.front().problem;
+    }
+    if (it != entries_.end()) {
+        dropped.push_back(std::move(*it));
+        entries_.erase(it);
+    }
+    entries_.insert(entries_.begin(), Entry{key, generation, built});
+    if (entries_.size() > kCapacity) {
+        dropped.push_back(std::move(entries_.back()));
+        entries_.pop_back();
+    }
+    return built;
 }
 
 } // namespace cafqa::problems

@@ -25,17 +25,26 @@
  * valid choices. New families can be registered at runtime with
  * `register_problem_family` and are immediately usable from the CLI,
  * the batch runner and every example.
+ *
+ * A `ProblemMemo` shares built problems across the jobs of a
+ * long-lived process (the job server): repeated keys pay for one build
+ * and one exact solve.
  */
 #ifndef CAFQA_PROBLEMS_PROBLEM_HPP
 #define CAFQA_PROBLEMS_PROBLEM_HPP
 
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "common/thread_safety.hpp"
 #include "core/objective.hpp"
 #include "pauli/pauli_sum.hpp"
 
@@ -111,11 +120,24 @@ struct Problem
      * molecules and spin chains, brute force for MaxCut), or nullopt
      * when the instance is too large for an exact solve. Computed on
      * first call and memoized; potentially expensive.
+     *
+     * Safe to call from several threads at once: `exact_solver` runs
+     * once and every caller gets its result (a solver that throws
+     * leaves the energy uncomputed, and the next call tries again).
+     * Copies of a problem share that one solve, so set `exact_solver`
+     * before copying or asking.
      */
     std::optional<double> exact_energy() const;
 
   private:
-    mutable std::optional<std::optional<double>> exact_cache_;
+    struct ExactOnce
+    {
+        /** Idle, solving or done; callers that find a solve running
+         *  block on it with `std::atomic::wait`. */
+        std::atomic<int> state{0};
+        std::optional<double> energy;
+    };
+    std::shared_ptr<ExactOnce> exact_ = std::make_shared<ExactOnce>();
 };
 
 /** Factory signature stored in the registry. The factory receives the
@@ -148,6 +170,52 @@ std::vector<ProblemFamilyInfo> problem_family_catalog();
  *  family (listing the registered ones), unknown parameters, or
  *  invalid parameter values. */
 Problem make_problem(const std::string& key);
+
+/**
+ * A bounded, thread-safe memo of built problems for a long-lived
+ * process that sees the same keys again and again (the job server).
+ *
+ * Keys are the problem strings as given (no canonicalization), mapped
+ * to one shared immutable `Problem`, so jobs on one key also share its
+ * exact solve. The memo keeps the `kCapacity` most recently used keys.
+ * `make_problem` runs outside the memo's lock; when two callers miss
+ * the same key at once both build, the first insert wins and both
+ * return it. A build that throws is not stored and the exception
+ * reaches the caller unchanged. Re-registering a family with
+ * `register_problem_family` makes every entry built before it stale.
+ *
+ * Lookups count into `cafqa_problem_memo_total{result="hit"|"miss"}`;
+ * a miss is a lookup that had to build.
+ */
+class ProblemMemo
+{
+  public:
+    static constexpr std::size_t kCapacity = 8;
+
+    ProblemMemo() = default;
+    ProblemMemo(const ProblemMemo&) = delete;
+    ProblemMemo& operator=(const ProblemMemo&) = delete;
+
+    /** The problem for `key`, built on a miss. Throws what
+     *  `make_problem(key)` throws. */
+    std::shared_ptr<const Problem> get(const std::string& key);
+
+  private:
+    struct Entry
+    {
+        std::string key;
+        /** Registry generation read before the build started. */
+        std::uint64_t generation = 0;
+        std::shared_ptr<const Problem> problem;
+    };
+
+    std::vector<Entry>::iterator find_locked(const std::string& key)
+        CAFQA_REQUIRES(memo_mutex_);
+
+    Mutex memo_mutex_{"memo_mutex"};
+    /** Most recently used first; at most `kCapacity` entries. */
+    std::vector<Entry> entries_ CAFQA_GUARDED_BY(memo_mutex_);
+};
 
 } // namespace cafqa::problems
 

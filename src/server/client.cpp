@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -79,6 +80,10 @@ BlockingClient::connect_tcp(const std::string& host, int port)
         errno = saved;
         fail_errno("connect(" + host + ":" + std::to_string(port) + ")");
     }
+    // Request lines are small separate writes; do not let Nagle's
+    // algorithm hold one back for the server's delayed ACK.
+    const int yes = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &yes, sizeof(yes));
     return BlockingClient(fd);
 }
 

@@ -34,7 +34,8 @@ namespace cafqa::server {
 class BlockingClient
 {
   public:
-    /** Throws std::runtime_error when the connection fails. */
+    /** Throws std::runtime_error when the connection fails. TCP
+     *  connections set `TCP_NODELAY`, so each line goes out at once. */
     static BlockingClient connect_tcp(const std::string& host, int port);
     static BlockingClient connect_unix(const std::string& path);
 

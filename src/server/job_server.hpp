@@ -3,9 +3,11 @@
  * The CAFQA job server — the north-star serving daemon. One process
  * owns a listening socket (TCP loopback or Unix-domain), a bounded
  * client-fair job queue, a pool of worker threads executing `RunSpec`s
- * through `execute_run_spec`, and ONE process-wide evaluation cache
- * that every job shares (config-hash-salted keys, so distinct problems
- * never alias while repeated problems hit each other's entries).
+ * through `execute_run_spec`, ONE process-wide evaluation cache that
+ * every job shares (config-hash-salted keys, so distinct problems never
+ * alias while repeated problems hit each other's entries), and one
+ * `problems::ProblemMemo`, so jobs on a repeated problem key share one
+ * build and one exact solve.
  *
  *   ServerOptions options;
  *   options.unix_path = "/tmp/cafqa.sock";   // or options.port = 0 (TCP)
@@ -28,6 +30,10 @@
  *    `execute_run_spec` of the same spec, except `wall_ms` (wall time
  *    is not deterministic).
  *
+ * TCP connections run with `TCP_NODELAY`: events are small lines
+ * written one at a time, and Nagle's algorithm would hold each one
+ * back until the peer's (delayed) ACK of the previous one arrives.
+ *
  * Wire protocol: `server/protocol.hpp`. Queue semantics:
  * `server/job_queue.hpp`.
  */
@@ -44,6 +50,7 @@
 
 #include "common/thread_safety.hpp"
 #include "core/caching_backend.hpp"
+#include "problems/problem.hpp"
 #include "server/job_queue.hpp"
 #include "server/protocol.hpp"
 #include "telemetry/metrics.hpp"
@@ -214,6 +221,8 @@ class JobServer
 
     JobQueue queue_;
     std::shared_ptr<EvaluationCache> cache_;
+    /** Built problems by key, shared by every job; starts empty. */
+    problems::ProblemMemo problems_;
     Telemetry metrics_;
 
     std::thread accept_thread_;

@@ -1,11 +1,17 @@
 // Problem-registry tests: key parsing, registry enumeration
 // round-trip, the adapters over the legacy molecule/MaxCut factories,
-// and the TFIM/XXZ families against independent exact references.
+// the TFIM/XXZ families against independent exact references, the
+// once-only exact solve, and the problem memo.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/clifford_ansatz.hpp"
 #include "core/pipeline.hpp"
@@ -13,6 +19,7 @@
 #include "problems/problem.hpp"
 #include "problems/spin_chains.hpp"
 #include "statevector/lanczos.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace cafqa {
 namespace {
@@ -299,21 +306,28 @@ TEST(ProblemRegistry, SpinChainSeedStepsPrepareTheProductState)
     }
 }
 
+/** A one-qubit problem `family:instance` (for families registered
+ *  here). */
+Problem
+named_toy_problem(const std::string& family, const std::string& instance)
+{
+    Problem problem;
+    problem.family = family;
+    problem.name = instance;
+    problem.key = family + ":" + instance;
+    problem.num_qubits = 1;
+    problem.objective.hamiltonian = PauliSum::from_terms(1, {{1.0, "Z"}});
+    problem.ansatz = Circuit(1);
+    problem.ansatz.ry_param(0);
+    return problem;
+}
+
 TEST(ProblemRegistry, RuntimeRegistrationExtendsTheRegistry)
 {
     problems::register_problem_family(
         "toy",
         [](const ProblemKey& key) {
-            Problem problem;
-            problem.family = "toy";
-            problem.name = key.instance;
-            problem.key = "toy:" + key.instance;
-            problem.num_qubits = 1;
-            problem.objective.hamiltonian =
-                PauliSum::from_terms(1, {{1.0, "Z"}});
-            problem.ansatz = Circuit(1);
-            problem.ansatz.ry_param(0);
-            return problem;
+            return named_toy_problem("toy", key.instance);
         },
         "single-qubit toy", "toy:z");
     EXPECT_EQ(std::ranges::count(problems::registered_problem_families(),
@@ -322,6 +336,173 @@ TEST(ProblemRegistry, RuntimeRegistrationExtendsTheRegistry)
     const Problem toy = make_problem("toy:z");
     EXPECT_EQ(toy.num_qubits, 1u);
     EXPECT_FALSE(toy.exact_energy().has_value());
+}
+
+/** Run `body` on `count` threads released together. */
+template <class Body>
+void
+run_together(std::size_t count, Body body)
+{
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < count; ++i) {
+        threads.emplace_back([&go, &body, i] {
+            while (!go.load()) {
+                std::this_thread::yield();
+            }
+            body(i);
+        });
+    }
+    go.store(true);
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+}
+
+TEST(Problem, ExactEnergyRunsTheSolverOnceAcrossThreads)
+{
+    std::atomic<int> calls{0};
+    Problem problem = named_toy_problem("toy", "once");
+    problem.exact_solver = [&calls] {
+        calls.fetch_add(1);
+        // Keep the solve open long enough for the other threads to
+        // arrive while it runs.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return std::optional<double>(-1.25);
+    };
+    const Problem& shared = problem;
+    constexpr std::size_t kThreads = 8;
+    std::vector<std::optional<double>> results(kThreads);
+    run_together(kThreads, [&shared, &results](std::size_t i) {
+        results[i] = shared.exact_energy();
+    });
+    EXPECT_EQ(calls.load(), 1);
+    for (const auto& result : results) {
+        ASSERT_TRUE(result.has_value());
+        EXPECT_EQ(*result, -1.25);
+    }
+    // A copy shares the solve.
+    const Problem copy = problem;
+    EXPECT_EQ(copy.exact_energy(), -1.25);
+    EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(Problem, ExactEnergyRetriesAfterAThrowingSolve)
+{
+    int calls = 0;
+    Problem problem = named_toy_problem("toy", "retry");
+    problem.exact_solver = [&calls] {
+        if (++calls == 1) {
+            throw std::runtime_error("solver failed");
+        }
+        return std::optional<double>(2.0);
+    };
+    EXPECT_THROW(problem.exact_energy(), std::runtime_error);
+    EXPECT_EQ(problem.exact_energy(), 2.0);
+    EXPECT_EQ(problem.exact_energy(), 2.0);
+    EXPECT_EQ(calls, 2);
+
+    // No solver: nullopt, computed once like any other result.
+    EXPECT_FALSE(named_toy_problem("toy", "none").exact_energy());
+}
+
+/** Current value of `cafqa_problem_memo_total{result=...}`. */
+std::uint64_t
+memo_count(const std::string& result)
+{
+    return telemetry::MetricsRegistry::instance()
+        .counter("cafqa_problem_memo_total", {{"result", result}})
+        .value();
+}
+
+TEST(ProblemMemo, RepeatedKeySharesOneProblemAndCounts)
+{
+    problems::ProblemMemo memo;
+    const std::uint64_t hits = memo_count("hit");
+    const std::uint64_t misses = memo_count("miss");
+    const auto first = memo.get("tfim:chain-4?h=0.5");
+    const auto second = memo.get("tfim:chain-4?h=0.5");
+    const auto third = memo.get("tfim:chain-4?h=0.5");
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_EQ(first.get(), third.get());
+    EXPECT_EQ(memo_count("miss") - misses, 1u);
+    EXPECT_EQ(memo_count("hit") - hits, 2u);
+    // Same problem as a fresh build, down to the exact energy.
+    const Problem fresh = make_problem("tfim:chain-4?h=0.5");
+    EXPECT_EQ(first->key, fresh.key);
+    EXPECT_EQ(first->exact_energy(), fresh.exact_energy());
+
+    // A separate memo shares nothing.
+    problems::ProblemMemo other;
+    EXPECT_NE(other.get("tfim:chain-4?h=0.5").get(), first.get());
+}
+
+TEST(ProblemMemo, EvictsTheLeastRecentlyUsedKey)
+{
+    problems::ProblemMemo memo;
+    const auto key = [](std::size_t i) {
+        return "tfim:chain-2?h=0." + std::to_string(i + 1);
+    };
+    std::vector<std::shared_ptr<const Problem>> held;
+    for (std::size_t i = 0; i < problems::ProblemMemo::kCapacity; ++i) {
+        held.push_back(memo.get(key(i)));
+    }
+    // Touch key 0, then overflow: key 1 is now the oldest and goes.
+    EXPECT_EQ(memo.get(key(0)).get(), held[0].get());
+    held.push_back(memo.get(key(problems::ProblemMemo::kCapacity)));
+    EXPECT_EQ(memo.get(key(0)).get(), held[0].get());
+    EXPECT_EQ(memo.get(key(2)).get(), held[2].get());
+    EXPECT_NE(memo.get(key(1)).get(), held[1].get());
+}
+
+TEST(ProblemMemo, FailedBuildRethrowsUnchangedAndIsNotStored)
+{
+    problems::ProblemMemo memo;
+    for (const std::string key :
+         {"nosuchfamily:x", "molecule:H2?bond=abc", "tfim:chain-4?q=1"}) {
+        std::string expected;
+        try {
+            make_problem(key);
+        } catch (const std::invalid_argument& error) {
+            expected = error.what();
+        }
+        ASSERT_FALSE(expected.empty()) << key;
+        const std::uint64_t misses = memo_count("miss");
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            try {
+                memo.get(key);
+                ADD_FAILURE() << key << " built";
+            } catch (const std::invalid_argument& error) {
+                EXPECT_EQ(error.what(), expected);
+            }
+        }
+        EXPECT_EQ(memo_count("miss") - misses, 2u) << key;
+    }
+}
+
+TEST(ProblemMemo, ConcurrentMissesReturnTheFirstInsert)
+{
+    // The registry outlives this test, so the factory owns its count.
+    const auto builds = std::make_shared<std::atomic<int>>(0);
+    problems::register_problem_family(
+        "memo_slow",
+        [builds](const ProblemKey& key) {
+            builds->fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            return named_toy_problem("memo_slow", key.instance);
+        },
+        "slow one-qubit toy", "memo_slow:a");
+    problems::ProblemMemo memo;
+    constexpr std::size_t kThreads = 6;
+    std::vector<std::shared_ptr<const Problem>> got(kThreads);
+    run_together(kThreads, [&memo, &got](std::size_t i) {
+        got[i] = memo.get("memo_slow:a");
+    });
+    EXPECT_GE(builds->load(), 1);
+    for (const auto& problem : got) {
+        EXPECT_EQ(problem.get(), got.front().get());
+    }
+    EXPECT_EQ(memo.get("memo_slow:a").get(), got.front().get());
 }
 
 } // namespace

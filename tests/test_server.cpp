@@ -2,8 +2,9 @@
  * Job-server subsystem tests: line framing (partial reads, batched
  * messages, oversized-line rejection), request/event codecs, the
  * client-fair bounded queue, and end-to-end socket flows — submit /
- * result round trips, cancel-mid-run, queue-full rejection and
- * drain-flushes-everything shutdown.
+ * result round trips, cancel-mid-run, queue-full rejection,
+ * drain-flushes-everything shutdown, the problem memo and the TCP
+ * round-trip latency.
  */
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "core/batch_runner.hpp"
+#include "problems/problem.hpp"
 #include "server/client.hpp"
 #include "server/job_queue.hpp"
 #include "server/job_server.hpp"
@@ -342,6 +345,29 @@ TEST(JobServerEndToEnd, SubmitResultRoundTrip)
               std::nullopt);
 }
 
+/** The record JSON with its `wall_ms` field (not deterministic)
+ *  removed. */
+std::string
+strip_wall_ms(const std::string& json)
+{
+    const std::size_t at = json.find("\"wall_ms\":");
+    const std::size_t end = json.find_first_of(",}", at + 10);
+    return json.substr(0, at) + json.substr(end + 1);
+}
+
+/** Current value of `cafqa_problem_memo_total{result=...}`, read
+ *  through the server's metrics verb. */
+double
+scraped_memo_count(BlockingClient& client, const std::string& result)
+{
+    client.send_line(metrics_line());
+    const Event metrics = read_until(client, "metrics");
+    return cafqa::telemetry::find_prometheus_sample(
+               metrics.prometheus,
+               "cafqa_problem_memo_total{result=\"" + result + "\"}")
+        .value_or(0.0);
+}
+
 TEST(JobServerEndToEnd, RecordMatchesSoloRun)
 {
     ServerOptions options;
@@ -350,22 +376,143 @@ TEST(JobServerEndToEnd, RecordMatchesSoloRun)
     server.start();
 
     auto client = BlockingClient::connect_tcp("127.0.0.1", server.port());
+    const double hits = scraped_memo_count(client, "hit");
+    const double misses = scraped_memo_count(client, "miss");
+    // Repeats share one memoized problem (and its exact solve) and the
+    // server's evaluation cache; every record must still match.
     const RunSpec spec = RunSpec::parse(
         "problem=tfim:chain-4?h=1 warmup=4 iterations=4 tune=4");
-    client.send_line(submit_line("solo", spec));
-    const Event result = read_until(client, "result", "solo");
+    constexpr int kRepeats = 4;
+    for (int i = 0; i < kRepeats; ++i) {
+        client.send_line(submit_line("solo" + std::to_string(i), spec));
+    }
+    std::vector<std::string> records;
+    for (int i = 0; i < kRepeats; ++i) {
+        records.push_back(
+            read_until(client, "result", "solo" + std::to_string(i))
+                .record_json);
+    }
+    EXPECT_EQ(scraped_memo_count(client, "miss") - misses, 1.0);
+    EXPECT_EQ(scraped_memo_count(client, "hit") - hits, kRepeats - 1.0);
     server.shutdown(true);
     server.wait();
 
-    // Byte-identical to the solo run except wall_ms (not
-    // deterministic): compare around that one field.
-    const std::string solo = execute_run_spec(spec).to_json();
-    const auto strip = [](const std::string& json) {
-        const std::size_t at = json.find("\"wall_ms\":");
-        const std::size_t end = json.find_first_of(",}", at + 10);
-        return json.substr(0, at) + json.substr(end + 1);
+    // Byte-identical to the solo run except wall_ms.
+    const std::string solo = strip_wall_ms(execute_run_spec(spec).to_json());
+    for (const std::string& record : records) {
+        EXPECT_EQ(strip_wall_ms(record), solo);
+    }
+}
+
+TEST(JobServerEndToEnd, BadProblemKeyReportsBuildErrorThenServes)
+{
+    ServerOptions options;
+    options.workers = 1;
+    JobServer server(options);
+    server.start();
+    auto client = BlockingClient::connect_tcp("127.0.0.1", server.port());
+
+    // Each bad key twice: a failed build is not memoized, so the
+    // repeat fails the same way.
+    for (const std::string key :
+         {"nosuchfamily:x", "molecule:H2?bond=abc", "tfim:chain-4?q=1"}) {
+        const RunSpec spec = RunSpec::parse("problem=" + key);
+        // The record a job whose build throws has always produced.
+        RunRecord expected;
+        expected.spec = spec;
+        try {
+            problems::make_problem(key);
+        } catch (const std::exception& error) {
+            expected.error = error.what();
+        }
+        ASSERT_FALSE(expected.error.empty()) << key;
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            const std::string id = key + "#" + std::to_string(attempt);
+            client.send_line(submit_line(id, spec));
+            const std::string record =
+                read_until(client, "result", id).record_json;
+            EXPECT_EQ(record, expected.to_json());
+            EXPECT_NE(record.find("\"ok\":false"), std::string::npos);
+        }
+    }
+    const RunSpec good =
+        RunSpec::parse("problem=maxcut:ring-4 warmup=2 iterations=2");
+    client.send_line(submit_line("good", good));
+    const Event result = read_until(client, "result", "good");
+    EXPECT_EQ(strip_wall_ms(result.record_json),
+              strip_wall_ms(execute_run_spec(good).to_json()));
+    server.shutdown(true);
+    server.wait();
+}
+
+TEST(JobServerEndToEnd, ReregisteredFamilyIsNotServedStale)
+{
+    const auto register_version = [](const std::string& version) {
+        problems::register_problem_family(
+            "server_versioned",
+            [version](const problems::ProblemKey& key) {
+                problems::Problem problem =
+                    problems::make_problem("tfim:chain-2");
+                problem.family = "server_versioned";
+                problem.key = "server_versioned:" + key.instance;
+                problem.name = version;
+                return problem;
+            },
+            "two-site TFIM chain under a test name",
+            "server_versioned:a");
     };
-    EXPECT_EQ(strip(result.record_json), strip(solo));
+    register_version("v1");
+
+    ServerOptions options;
+    options.workers = 1;
+    JobServer server(options);
+    server.start();
+    auto client = BlockingClient::connect_tcp("127.0.0.1", server.port());
+    const RunSpec spec = RunSpec::parse(
+        "problem=server_versioned:a warmup=2 iterations=2");
+    const auto run = [&client, &spec](const std::string& id) {
+        client.send_line(submit_line(id, spec));
+        return read_until(client, "result", id).record_json;
+    };
+    EXPECT_NE(run("first").find("\"name\":\"v1\""), std::string::npos);
+    register_version("v2");
+    EXPECT_NE(run("second").find("\"name\":\"v2\""), std::string::npos);
+    EXPECT_NE(run("third").find("\"name\":\"v2\""), std::string::npos);
+    server.shutdown(true);
+    server.wait();
+}
+
+TEST(JobServerEndToEnd, TcpRoundTripsDoNotWaitForDelayedAcks)
+{
+    // Each job streams three small event lines (accepted, started,
+    // result). With Nagle's algorithm on either side, every line after
+    // the first waits for the peer's delayed ACK, about 40 ms per
+    // round trip on Linux loopback; with TCP_NODELAY a trivial job
+    // takes a few ms.
+    ServerOptions options;
+    options.workers = 1;
+    JobServer server(options);
+    server.start();
+    auto client = BlockingClient::connect_tcp("127.0.0.1", server.port());
+    const RunSpec spec = RunSpec::parse(
+        "problem=maxcut:ring-4 warmup=1 iterations=1 exact=0");
+    const auto round_trip = [&client, &spec](const std::string& id) {
+        const auto start = std::chrono::steady_clock::now();
+        client.send_line(submit_line(id, spec));
+        read_until(client, "result", id);
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    round_trip("warm"); // builds the problem
+    std::vector<double> ms;
+    for (int i = 0; i < 15; ++i) {
+        ms.push_back(round_trip("rt" + std::to_string(i)));
+    }
+    std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+    EXPECT_LT(ms[ms.size() / 2], 20.0);
+    server.shutdown(true);
+    server.wait();
 }
 
 TEST(JobServerEndToEnd, CancelMidRunKeepsBestSoFar)
