@@ -9,6 +9,26 @@
 
 namespace cafqa {
 
+namespace {
+
+/** Compile-once lookup behind every evaluator's per-observable cache,
+ *  keyed by `observable_hash` (the structural identity the evaluation
+ *  cache uses). Entries are immutable and shared by clones. */
+template <class Compiled>
+const Compiled&
+compiled_for(std::map<std::size_t, std::shared_ptr<const Compiled>>& cache,
+             const PauliSum& op)
+{
+    const std::size_t key = observable_hash(op);
+    auto it = cache.find(key);
+    if (it == cache.end()) {
+        it = cache.emplace(key, std::make_shared<const Compiled>(op)).first;
+    }
+    return *it->second;
+}
+
+} // namespace
+
 // ---------------------------------------------------------------- Clifford
 
 CliffordEvaluator::CliffordEvaluator(Circuit ansatz)
@@ -27,16 +47,7 @@ CliffordEvaluator::prepare(const std::vector<int>& steps)
 const StabilizerExpectationEngine&
 CliffordEvaluator::engine_for(const PauliSum& op) const
 {
-    const std::size_t key = observable_hash(op);
-    auto it = engines_.find(key);
-    if (it == engines_.end()) {
-        it = engines_
-                 .emplace(key,
-                          std::make_shared<
-                              const StabilizerExpectationEngine>(op))
-                 .first;
-    }
-    return *it->second;
+    return compiled_for(engines_, op);
 }
 
 double
@@ -86,7 +97,13 @@ double
 IdealEvaluator::expectation(const PauliSum& op) const
 {
     CAFQA_REQUIRE(state_.has_value(), "prepare() has not been called");
-    return state_->expectation(op);
+    return grouped(op).expectation(state_->amplitudes());
+}
+
+const GroupedPauliSum&
+IdealEvaluator::grouped(const PauliSum& op) const
+{
+    return compiled_for(grouped_, op);
 }
 
 const Statevector&
@@ -204,7 +221,13 @@ double
 CliffordTEvaluator::expectation(const PauliSum& op) const
 {
     CAFQA_REQUIRE(state_.has_value(), "prepare() has not been called");
-    return state_->expectation(op);
+    return grouped(op).expectation(state_->amplitudes());
+}
+
+const GroupedPauliSum&
+CliffordTEvaluator::grouped(const PauliSum& op) const
+{
+    return compiled_for(grouped_, op);
 }
 
 std::unique_ptr<Backend>

@@ -86,7 +86,8 @@ class CliffordEvaluator final : public DiscreteBackend
         engines_;
 };
 
-/** Noise-free statevector backend. */
+/** Noise-free statevector backend. Pauli-sum observables are grouped
+ *  by X mask once per distinct sum (`GroupedPauliSum`). */
 class IdealEvaluator final : public ContinuousBackend
 {
   public:
@@ -102,9 +103,15 @@ class IdealEvaluator final : public ContinuousBackend
 
     const Statevector& state() const;
 
+    /** `op` grouped once (keyed by `observable_hash`) and shared with
+     *  clones, the same way `CliffordEvaluator` shares its engines. */
+    const GroupedPauliSum& grouped(const PauliSum& op) const;
+
   private:
     Circuit ansatz_;
     std::optional<Statevector> state_;
+    mutable std::map<std::size_t, std::shared_ptr<const GroupedPauliSum>>
+        grouped_;
 };
 
 /** Density-matrix backend with gate noise. */
@@ -163,10 +170,16 @@ class CliffordTEvaluator final : public DiscreteBackend
         Circuit circuit;
     };
 
+    /** Grouped-once observables, shared with clones (as in
+     *  `IdealEvaluator`). */
+    const GroupedPauliSum& grouped(const PauliSum& op) const;
+
     Circuit original_;
     std::size_t num_t_ = 0;
     std::vector<Branch> branches_;
     std::optional<Statevector> state_;
+    mutable std::map<std::size_t, std::shared_ptr<const GroupedPauliSum>>
+        grouped_;
 };
 
 } // namespace cafqa

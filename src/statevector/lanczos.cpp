@@ -80,16 +80,25 @@ lanczos_ground_state(const PauliSum& hamiltonian, const LanczosOptions& options)
                       "eigenvector reconstruction supported up to 16 qubits");
     }
 
+    const GroupedPauliSum op(hamiltonian);
     std::vector<double> alpha;
     std::vector<double> beta;
     std::vector<Vec> basis; // only filled in want_vector mode
 
-    auto project = [&options](Vec& v) {
-        if (!options.basis_filter) {
+    // The sector filter is evaluated once per basis state, up front.
+    std::vector<char> in_sector;
+    if (options.basis_filter) {
+        in_sector.resize(dim);
+        for (std::uint64_t b = 0; b < dim; ++b) {
+            in_sector[b] = options.basis_filter(b) ? 1 : 0;
+        }
+    }
+    auto project = [&in_sector](Vec& v) {
+        if (in_sector.empty()) {
             return;
         }
         for (std::uint64_t b = 0; b < v.size(); ++b) {
-            if (!options.basis_filter(b)) {
+            if (!in_sector[b]) {
                 v[b] = Complex{0.0, 0.0};
             }
         }
@@ -97,7 +106,7 @@ lanczos_ground_state(const PauliSum& hamiltonian, const LanczosOptions& options)
 
     Vec v_prev(dim, Complex{0.0, 0.0});
     Vec v_cur = random_unit_vector(dim, options.seed);
-    if (options.basis_filter) {
+    if (!in_sector.empty()) {
         project(v_cur);
         const double n = norm(v_cur);
         CAFQA_REQUIRE(n > 1e-12, "basis filter leaves an empty subspace");
@@ -115,7 +124,7 @@ lanczos_ground_state(const PauliSum& hamiltonian, const LanczosOptions& options)
             basis.push_back(v_cur);
         }
         std::fill(w.begin(), w.end(), Complex{0.0, 0.0});
-        accumulate_apply(hamiltonian, v_cur, w);
+        op.accumulate_apply(v_cur, w);
         project(w); // guard against roundoff leakage out of the sector
 
         const double a_j = dot(v_cur, w).real();
@@ -193,12 +202,13 @@ dense_spectrum(const PauliSum& hamiltonian)
     const std::size_t dim = std::size_t{1} << n;
 
     // Build H column by column via Pauli application.
+    const GroupedPauliSum op(hamiltonian);
     std::vector<Vec> columns(dim, Vec(dim, Complex{0.0, 0.0}));
     Vec unit(dim);
     for (std::size_t c = 0; c < dim; ++c) {
         std::fill(unit.begin(), unit.end(), Complex{0.0, 0.0});
         unit[c] = Complex{1.0, 0.0};
-        accumulate_apply(hamiltonian, unit, columns[c]);
+        op.accumulate_apply(unit, columns[c]);
     }
 
     // Real-symmetric embedding [[A, -B], [B, A]] of A + iB doubles each

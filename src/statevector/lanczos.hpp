@@ -4,8 +4,9 @@
  * reference of the paper's evaluation (possible only for small problem
  * sizes; here up to ~18-20 qubits).
  *
- * The matvec is a sum of bit-twiddled Pauli applications on a dense
- * vector, so no matrix is ever materialized.
+ * The matvec applies the Hamiltonian grouped once per solve by X mask
+ * (`GroupedPauliSum`) to a dense vector, so no matrix is ever
+ * materialized.
  */
 #ifndef CAFQA_STATEVECTOR_LANCZOS_HPP
 #define CAFQA_STATEVECTOR_LANCZOS_HPP
@@ -36,7 +37,8 @@ struct LanczosOptions
     /**
      * Optional symmetry-sector restriction: basis states for which the
      * predicate returns false are projected out of the start vector and
-     * after every matvec. The Hamiltonian must preserve the subspace
+     * after every matvec. It is called exactly once per basis state per
+     * solve. The Hamiltonian must preserve the subspace
      * (e.g. an electron-number sector of a molecular Hamiltonian) —
      * the solve then returns the lowest eigenvalue *within the sector*.
      */

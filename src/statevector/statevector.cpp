@@ -1,7 +1,9 @@
 #include "statevector/statevector.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <map>
 #include <numbers>
 
 #include "common/error.hpp"
@@ -11,6 +13,10 @@ namespace cafqa {
 namespace {
 
 constexpr std::size_t max_statevector_qubits = 28;
+
+/** GroupedPauliSum tabulates its diagonals only up to this many complex
+ *  entries (64 MiB) in total. */
+constexpr std::size_t max_table_entries = std::size_t{1} << 22;
 
 Complex
 i_power(std::uint8_t k)
@@ -244,11 +250,7 @@ Statevector::expectation(const PauliSum& op) const
 {
     CAFQA_REQUIRE(op.num_qubits() == num_qubits_,
                   "operator qubit count mismatch");
-    double total = 0.0;
-    for (const auto& term : op.terms()) {
-        total += (term.coefficient * expectation(term.string)).real();
-    }
-    return total;
+    return GroupedPauliSum(op, false).expectation(amplitudes_);
 }
 
 Complex
@@ -283,21 +285,144 @@ Statevector::normalize()
     }
 }
 
+// ----------------------------------------------------------- GroupedPauliSum
+
+GroupedPauliSum::GroupedPauliSum(const PauliSum& op)
+    : GroupedPauliSum(op, true)
+{}
+
+GroupedPauliSum::GroupedPauliSum(const PauliSum& op, bool tabulate)
+    : num_qubits_(op.num_qubits())
+{
+    CAFQA_REQUIRE(num_qubits_ <= max_statevector_qubits,
+                  "statevector supports 1..28 qubits");
+    // Groups in order of first appearance; terms keep their order.
+    std::map<std::uint64_t, std::size_t> index;
+    for (const auto& term : op.terms()) {
+        const std::uint64_t xm = first_word_mask(term.string.x_words());
+        const std::uint64_t zm = first_word_mask(term.string.z_words());
+        const Complex weight =
+            term.coefficient * i_power(term.string.phase_exponent());
+        if (xm == 0 && zm == 0) {
+            identity_ += weight;
+            continue;
+        }
+        const auto [it, added] = index.emplace(xm, groups_.size());
+        if (added) {
+            groups_.push_back(Group{xm, {}});
+        }
+        groups_[it->second].terms.push_back(Term{zm, weight});
+    }
+
+    const std::size_t dim = std::size_t{1} << num_qubits_;
+    if (!tabulate || groups_.empty() ||
+        groups_.size() > max_table_entries / dim) {
+        return;
+    }
+    tables_.resize(groups_.size() * dim);
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        fill_diagonal(g, tables_.data() + g * dim);
+    }
+}
+
+void
+GroupedPauliSum::fill_diagonal(std::size_t g, Complex* d) const
+{
+    const std::size_t dim = std::size_t{1} << num_qubits_;
+    std::fill(d, d + dim, Complex{0.0, 0.0});
+    for (const Term& term : groups_[g].terms) {
+        const double wr = term.weight.real();
+        const double wi = term.weight.imag();
+        for (std::uint64_t b = 0; b < dim; ++b) {
+            const double sign =
+                (std::popcount(b & term.z_mask) & 1) ? -1.0 : 1.0;
+            d[b] += Complex{sign * wr, sign * wi};
+        }
+    }
+}
+
+const Complex*
+GroupedPauliSum::diagonal(std::size_t g, std::vector<Complex>& scratch) const
+{
+    const std::size_t dim = std::size_t{1} << num_qubits_;
+    if (has_tables()) {
+        return tables_.data() + g * dim;
+    }
+    scratch.resize(dim);
+    fill_diagonal(g, scratch.data());
+    return scratch.data();
+}
+
+// The kernels below spell complex products out in real arithmetic, so
+// their loops carry no complex-multiply NaN fix-up branch.
+
+double
+GroupedPauliSum::expectation(const std::vector<Complex>& amplitudes) const
+{
+    const std::size_t dim = std::size_t{1} << num_qubits_;
+    CAFQA_REQUIRE(amplitudes.size() == dim, "operator qubit count mismatch");
+    const Complex* a = amplitudes.data();
+    double norm2 = 0.0;
+    for (std::uint64_t b = 0; b < dim; ++b) {
+        norm2 += std::norm(a[b]);
+    }
+    double total = identity_.real() * norm2;
+    std::vector<Complex> scratch;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        const Complex* d = diagonal(g, scratch);
+        const std::uint64_t xm = groups_[g].x_mask;
+        // Re(conj(a[b ^ x]) * a[b] * d[b]).
+        double sum = 0.0;
+        for (std::uint64_t b = 0; b < dim; ++b) {
+            const Complex p = a[b ^ xm];
+            const double qr =
+                p.real() * a[b].real() + p.imag() * a[b].imag();
+            const double qi =
+                p.real() * a[b].imag() - p.imag() * a[b].real();
+            sum += qr * d[b].real() - qi * d[b].imag();
+        }
+        total += sum;
+    }
+    return total;
+}
+
+void
+GroupedPauliSum::accumulate_apply(const std::vector<Complex>& x,
+                                  std::vector<Complex>& y) const
+{
+    const std::size_t dim = std::size_t{1} << num_qubits_;
+    CAFQA_REQUIRE(x.size() == dim && y.size() == dim,
+                  "buffer size mismatch");
+    const Complex* xs = x.data();
+    Complex* ys = y.data();
+    if (identity_ != Complex{0.0, 0.0}) {
+        const double cr = identity_.real();
+        const double ci = identity_.imag();
+        for (std::uint64_t b = 0; b < dim; ++b) {
+            ys[b] += Complex{cr * xs[b].real() - ci * xs[b].imag(),
+                             cr * xs[b].imag() + ci * xs[b].real()};
+        }
+    }
+    std::vector<Complex> scratch;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        const Complex* d = diagonal(g, scratch);
+        const std::uint64_t xm = groups_[g].x_mask;
+        // y[b ^ x] += d[b] * x[b].
+        for (std::uint64_t b = 0; b < dim; ++b) {
+            const double xr = xs[b].real();
+            const double xi = xs[b].imag();
+            const double dr = d[b].real();
+            const double di = d[b].imag();
+            ys[b ^ xm] += Complex{dr * xr - di * xi, dr * xi + di * xr};
+        }
+    }
+}
+
 void
 accumulate_apply(const PauliSum& op, const std::vector<Complex>& x,
                  std::vector<Complex>& y)
 {
-    CAFQA_REQUIRE(x.size() == y.size(), "buffer size mismatch");
-    for (const auto& term : op.terms()) {
-        const std::uint64_t xm = first_word_mask(term.string.x_words());
-        const std::uint64_t zm = first_word_mask(term.string.z_words());
-        const Complex w =
-            term.coefficient * i_power(term.string.phase_exponent());
-        for (std::uint64_t b = 0; b < x.size(); ++b) {
-            const double sign = (std::popcount(b & zm) & 1) ? -1.0 : 1.0;
-            y[b ^ xm] += w * sign * x[b];
-        }
-    }
+    GroupedPauliSum(op, false).accumulate_apply(x, y);
 }
 
 } // namespace cafqa

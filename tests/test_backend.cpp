@@ -1,6 +1,6 @@
 // Tests for the unified backend API: the thread pool, the string-keyed
 // backend registry, batched-vs-single expectation equivalence, and
-// backend cloning.
+// backend cloning (run under ThreadSanitizer in CI).
 
 #include <gtest/gtest.h>
 
@@ -294,6 +294,58 @@ TEST(BackendClone, ClonesAreIndependent)
     other[0] = 2;
     copy->prepare(other);
     EXPECT_NEAR(original.expectation(zz), before, 1e-12);
+}
+
+TEST(BackendClone, StatevectorClonesShareGroupedObservables)
+{
+    const std::size_t n = 6;
+    const Circuit ansatz = make_efficient_su2(n);
+    const PauliSum h = PauliSum::from_terms(
+        n, {{0.5, "XXIIII"}, {0.25, "YYIIII"}, {-1.0, "ZIZIII"},
+            {0.75, "IIXZYI"}, {0.2, "IIIIIZ"}, {-3.0, "IIIIII"}});
+    const PauliSum zz = PauliSum::from_terms(n, {{1.0, "IIIIZZ"}});
+
+    IdealEvaluator original(ansatz);
+    const GroupedPauliSum& compiled = original.grouped(h);
+    const auto copy = clone_as(original);
+    // Grouped before the clone: one shared operator. Grouped after it:
+    // each instance keeps its own.
+    EXPECT_EQ(&copy->grouped(h), &compiled);
+    EXPECT_NE(&copy->grouped(zz), &original.grouped(zz));
+
+    // Concurrent clones evaluate the shared operator (and group `zz`
+    // into their own maps) and agree bit-for-bit with a serial run.
+    Rng rng(7);
+    std::vector<std::vector<double>> points(24);
+    for (auto& point : points) {
+        point.resize(ansatz.num_params());
+        for (double& angle : point) {
+            angle = rng.uniform_real(0.0, 2.0 * std::numbers::pi);
+        }
+    }
+    ThreadPool pool(4);
+    std::vector<std::unique_ptr<IdealEvaluator>> workers;
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+        workers.push_back(clone_as(original));
+    }
+    std::vector<double> energies(points.size());
+    std::vector<double> parities(points.size());
+    pool.parallel_for(points.size(), [&](std::size_t worker,
+                                         std::size_t index) {
+        IdealEvaluator& backend = *workers[worker];
+        backend.prepare(points[index]);
+        energies[index] = backend.expectation(h);
+        parities[index] = backend.expectation(zz);
+    });
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        IdealEvaluator serial(ansatz);
+        serial.prepare(points[i]);
+        EXPECT_EQ(energies[i], serial.expectation(h)) << "point " << i;
+        EXPECT_EQ(parities[i], serial.expectation(zz)) << "point " << i;
+    }
+    for (const auto& worker : workers) {
+        EXPECT_EQ(&worker->grouped(h), &compiled);
+    }
 }
 
 } // namespace
